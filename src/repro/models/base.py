@@ -76,6 +76,17 @@ class QueryTally:
             materialized_rows=self.materialized_rows - since.materialized_rows,
         )
 
+    def __add__(self, other: "QueryTally") -> "QueryTally":
+        return QueryTally(
+            queries=self.queries + other.queries,
+            hits=self.hits + other.hits,
+            misses=self.misses + other.misses,
+            perturbations=self.perturbations + other.perturbations,
+            perturb_fallbacks=self.perturb_fallbacks + other.perturb_fallbacks,
+            encoded_rows=self.encoded_rows + other.encoded_rows,
+            materialized_rows=self.materialized_rows + other.materialized_rows,
+        )
+
 
 class _ThreadTallies(threading.local):
     """Per-thread query/hit/miss accumulators (zero-initialised per thread)."""
@@ -136,9 +147,9 @@ class CostModel(ABC):
         callable ``rows -> costs`` here (``rows`` being per-row instruction
         sequences in program order) and encoded batches then predict without
         materialising a single block.  The default — and any model needing
-        the full block (simulators re-assemble ``block.text``) — returns
-        ``None``, which routes encoded batches through on-demand
-        materialisation instead.
+        the full block, or one fanning the batch out to backend workers as
+        blocks — returns ``None``, which routes encoded batches through
+        on-demand materialisation instead.
         """
         return None
 
@@ -194,15 +205,22 @@ class CostModel(ABC):
         finally:
             self._backend, self._owns_backend = prior, prior_owned
 
+    def _fanout_backend(self) -> Optional[ExecutionBackend]:
+        """The multi-worker backend batches fan out on, or ``None`` (serial)."""
+        backend = self.execution_backend
+        if backend is None or backend.workers <= 1:
+            return None
+        return backend
+
     def _fanout_predict_batch(self, blocks: Sequence[BasicBlock]) -> List[float]:
         """Evaluate ``_predict`` through the execution backend (in order).
 
         Useful for simulator-style models whose per-block work is substantial
-        and independent.  Without a backend (and without ``batch_workers``)
-        this is a plain sequential loop.
+        and independent.  Without a multi-worker backend (and without
+        ``batch_workers``) this is a plain sequential loop.
         """
-        backend = self.execution_backend
-        if backend is None or backend.workers <= 1 or len(blocks) <= 1:
+        backend = self._fanout_backend()
+        if backend is None or len(blocks) <= 1:
             return [float(self._predict(block)) for block in blocks]
         return [float(v) for v in backend.predict_blocks(self, blocks)]
 

@@ -52,6 +52,18 @@ class UiCACostModel(CostModel):
         # whenever an execution backend allows it.
         return self._fanout_predict_batch(blocks)
 
+    def _rows_kernel(self):
+        """Encoded batches simulate straight from instruction rows.
+
+        Only when the batch stays in this process: with a multi-worker
+        backend the batch fans out as blocks (``None`` here materialises
+        it).  Process-sharded explanations run their shards on workers
+        whose unpickled model has no backend, so their rows stay encoded.
+        """
+        if self._fanout_backend() is not None:
+            return None
+        return self.simulator.throughput_rows
+
     def analyze(self, block: BasicBlock) -> SimulationResult:
         """Full simulation result, including port pressure and the bottleneck.
 

@@ -27,10 +27,11 @@ for.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +44,7 @@ from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import PopulationRecord
 from repro.explain.explanation import Explanation
-from repro.models.base import CachedCostModel, CostModel, QueryCounter
+from repro.models.base import CachedCostModel, CostModel, QueryCounter, QueryTally
 from repro.perturb.algorithm import perturb_tally, plan_cache_entries
 from repro.perturb.batch import encoded_tally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
@@ -111,14 +112,24 @@ def _explain_shard(
     return results
 
 
-def _explain_shard_remote(payload) -> List[Tuple[int, Explanation]]:
+def _explain_shard_remote(
+    payload,
+) -> Tuple[List[Tuple[int, Explanation]], QueryTally, int]:
     """Process-shard worker: the payload carries everything the shard needs
     (model, config, items, cache bound) because workers share no memory with
-    the session.  Module-level so it pickles by reference."""
+    the session.  Module-level so it pickles by reference.
+
+    Returns the shard's explanations, the shard's accounting (its query
+    cache and Γ counters live in the worker, out of the session's sight)
+    and the id of the process it ran in, so the session can tell a worker
+    run from an in-process serial fallback.
+    """
     model, config, shard, cache_entries = payload
     if not isinstance(model, CachedCostModel):
         model = CachedCostModel(model, max_entries=cache_entries)
-    return _explain_shard(model, config, shard)
+    before = model.query_tally()
+    pairs = _explain_shard(model, config, shard)
+    return pairs, model.query_tally().delta(before), os.getpid()
 
 
 @dataclass(frozen=True)
@@ -289,6 +300,9 @@ class ExplanationSession:
         self._miss_base = self.model.misses
         self._perturb_base = perturb_tally()
         self._encoded_base = encoded_tally()
+        # Accounting of process shards, folded in as their results arrive.
+        self._shard_tally = QueryTally(queries=0)
+        self._shard_tally_lock = threading.Lock()
         self._closed = False
 
     # -------------------------------------------------------------- explain
@@ -535,13 +549,12 @@ class ExplanationSession:
                     (self.model.inner, self.config, shard, self.model.max_entries)
                     for shard in shard_lists
                 ]
-                pairs = [
-                    pair
-                    for shard_result in self.backend.map_batch(
-                        _explain_shard_remote, payloads
-                    )
-                    for pair in shard_result
-                ]
+                pairs = []
+                for shard_pairs, tally, pid in self.backend.map_batch(
+                    _explain_shard_remote, payloads
+                ):
+                    pairs.extend(shard_pairs)
+                    self._fold_shard_tally(tally, pid)
         self.explanations_produced += len(blocks)
         for position, explanation in pairs:
             results[position] = explanation
@@ -645,6 +658,25 @@ class ExplanationSession:
             shard.sort()
         return plan
 
+    def _fold_shard_tally(self, tally: QueryTally, pid: int) -> None:
+        """Add one process shard's accounting to the session's.
+
+        A shard always counts its queries against its own cache wrapper,
+        which the session cannot see.  Its Γ counters are process-wide, so a
+        shard that ran in *this* process (the backend's serial fallback) is
+        already in them and only its query counts are added.
+        """
+        if pid == os.getpid():
+            tally = replace(
+                tally,
+                perturbations=0,
+                perturb_fallbacks=0,
+                encoded_rows=0,
+                materialized_rows=0,
+            )
+        with self._shard_tally_lock:
+            self._shard_tally = self._shard_tally + tally
+
     def _run_shards_inprocess(
         self,
         shard_lists: List[List[_ShardItem]],
@@ -681,16 +713,21 @@ class ExplanationSession:
     # ----------------------------------------------------------------- stats
 
     def stats(self) -> SessionStats:
-        """Accounting since the session started (inner-model work only)."""
-        hits = self.model.hits - self._hit_base
-        misses = self.model.misses - self._miss_base
+        """Accounting since the session started (inner-model work only).
+
+        Process-sharded runs count their workers' queries, cache lookups
+        and Γ rows too, so the totals do not depend on the backend.
+        """
+        shards = self._shard_tally
+        hits = self.model.hits - self._hit_base + shards.hits
+        misses = self.model.misses - self._miss_base + shards.misses
         lookups = hits + misses
         worker = self.backend.worker_stats()
         perturb = perturb_tally().delta(self._perturb_base)
         encoded = encoded_tally().delta(self._encoded_base)
         return SessionStats(
             explanations=self.explanations_produced,
-            model_queries=self.model.query_count - self._query_base,
+            model_queries=self.model.query_count - self._query_base + shards.queries,
             cache_hits=hits,
             cache_misses=misses,
             cache_hit_rate=hits / lookups if lookups else 0.0,
@@ -703,11 +740,11 @@ class ExplanationSession:
             result_cache=(
                 self.result_cache.stats() if self.result_cache is not None else None
             ),
-            perturbations=perturb.perturbations,
-            perturb_fallbacks=perturb.fallbacks,
+            perturbations=perturb.perturbations + shards.perturbations,
+            perturb_fallbacks=perturb.fallbacks + shards.perturb_fallbacks,
             plan_cache_entries=plan_cache_entries(),
-            encoded_rows=encoded.encoded,
-            materialized_rows=encoded.materialized,
+            encoded_rows=encoded.encoded + shards.encoded_rows,
+            materialized_rows=encoded.materialized + shards.materialized_rows,
         )
 
     # ------------------------------------------------------------- lifecycle

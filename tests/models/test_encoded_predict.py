@@ -2,10 +2,12 @@
 
 ``predict_batch`` on a :class:`PerturbationBatch` must return exactly what
 it returns on the materialised block list — whether the model predicts
-straight from instruction references (analytical, Ithemal), dedupes through
-content keys (the cache wrapper), or silently materialises because it has
-no row kernel (callable/simulator-style models).  The accounting satellite
-rides along: :class:`QueryTally` exposes how many rows stayed encoded.
+straight from instruction references (analytical, Ithemal, the uiCA
+simulator when it runs in-process), dedupes through content keys (the cache
+wrapper), or silently materialises because it has no row kernel (callable
+models, and uiCA while it fans batches out to backend workers).  The
+accounting satellite rides along: :class:`QueryTally` exposes how many rows
+stayed encoded.
 """
 
 import numpy as np
@@ -16,8 +18,10 @@ from repro.data.synthesis import BlockSynthesizer
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel, CallableCostModel
 from repro.models.ithemal import IthemalConfig, IthemalCostModel
+from repro.models.uica import UiCACostModel
 from repro.perturb.algorithm import BlockPerturber
 from repro.perturb.batch import EncodedRow, PerturbationBatch
+from repro.runtime.backend import ThreadBackend
 
 
 def _block():
@@ -55,9 +59,28 @@ def _tiny_ithemal():
     )
 
 
+#: Models whose row kernel predicts without a block (uiCA: no backend).
+KERNEL_MODELS = pytest.mark.parametrize(
+    "factory",
+    [lambda: AnalyticalCostModel("hsw"), lambda: UiCACostModel("hsw")],
+    ids=["analytical", "uica"],
+)
+
+
 class TestKernelModels:
-    def test_analytical_parity(self, batch, blocks):
-        model = AnalyticalCostModel("hsw")
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: AnalyticalCostModel("hsw"),
+            _tiny_ithemal,
+            lambda: UiCACostModel("hsw"),
+        ],
+        ids=["analytical", "ithemal", "uica"],
+    )
+    def test_encoded_parity_is_exact(self, batch, blocks, factory):
+        model = factory()
+        # Encoded and materialised paths share the row kernel, so the float
+        # stream is identical — exact equality, not allclose.
         assert model.predict_batch(batch) == model.predict_batch(blocks)
 
     def test_analytical_reference_kernel_materialises(self, batch, blocks):
@@ -66,14 +89,9 @@ class TestKernelModels:
         assert model._rows_kernel() is None
         assert model.predict_batch(batch) == model.predict_batch(blocks)
 
-    def test_ithemal_parity_is_exact(self, batch, blocks):
-        model = _tiny_ithemal()
-        # Encoded and materialised paths share _predict_rows_batch, so the
-        # float stream is identical — exact equality, not allclose.
-        assert model.predict_batch(batch) == model.predict_batch(blocks)
-
-    def test_kernel_models_count_one_query_per_row(self, batch):
-        model = AnalyticalCostModel("hsw")
+    @KERNEL_MODELS
+    def test_kernel_models_count_one_query_per_row(self, batch, factory):
+        model = factory()
         model.predict_batch(batch)
         assert model.query_count == len(batch)
 
@@ -95,6 +113,30 @@ class TestKernelModels:
 
 
 class TestKernellessModels:
+    def test_uica_fans_out_without_row_kernel(self):
+        class CountingBackend(ThreadBackend):
+            fanned = []
+
+            def predict_blocks(self, model, blocks):
+                self.fanned.append(len(blocks))
+                return super().predict_blocks(model, blocks)
+
+        def draw():
+            return BlockPerturber(_block(), engine="soa").perturb_batch(
+                20, rng=np.random.default_rng(17)
+            )
+
+        fresh = draw()
+        expected = UiCACostModel("hsw").predict_batch(draw().blocks())
+        with UiCACostModel("hsw", backend=CountingBackend(2)) as model:
+            # A multi-worker backend takes batches as blocks: no row kernel,
+            # the encoded rows materialise, and the predictions stay exact.
+            assert model._rows_kernel() is None
+            assert model.predict_batch(fresh) == expected
+            assert CountingBackend.fanned == [len(fresh)]
+            assert fresh.encoded_count == 0
+            model.execution_backend.close()
+
     def test_callable_model_materialises_and_matches(self):
         model = CallableCostModel(lambda b: float(b.num_instructions), name="count")
         fresh = BlockPerturber(_block(), engine="soa").perturb_batch(
@@ -131,15 +173,16 @@ class TestCachedModel:
         cached.predict_batch(batch)  # encoded rows must hit those entries
         assert cached.inner.query_count == before
 
-    def test_cached_keeps_rows_encoded(self):
-        cached = CachedCostModel(AnalyticalCostModel("hsw"))
+    @KERNEL_MODELS
+    def test_cached_keeps_rows_encoded(self, factory):
+        cached = CachedCostModel(factory())
         fresh = BlockPerturber(_block(), engine="soa").perturb_batch(
             30, rng=np.random.default_rng(8)
         )
         deferred = fresh.encoded_count
         assert deferred > 0
         cached.predict_batch(fresh)
-        # Keying and the analytical row kernel never materialise.
+        # Keying and the row kernel never materialise.
         assert fresh.encoded_count == deferred
 
 
@@ -155,8 +198,9 @@ class TestSegmented:
             lambda: AnalyticalCostModel("hsw"),
             lambda: CachedCostModel(AnalyticalCostModel("hsw")),
             _tiny_ithemal,
+            lambda: UiCACostModel("hsw"),
         ],
-        ids=["analytical", "cached", "ithemal"],
+        ids=["analytical", "cached", "ithemal", "uica"],
     )
     def test_segmented_parity(self, factory):
         segments = self._segments()

@@ -7,11 +7,14 @@ including fleets with repeated blocks (whose population-record reuse must
 happen exactly where the serial loop would reuse).
 """
 
+import os
+
 import pytest
 
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.models.mca import PortPressureCostModel
+from repro.runtime.backend import ProcessBackend
 from repro.runtime.session import ExplanationSession
 from repro.utils.errors import BackendError
 
@@ -138,6 +141,65 @@ class TestShardPlan:
             self._plan(tiny_blocks, "most")
 
 
+class TestShardedStats:
+    """``SessionStats`` reads the same totals whichever backend ran the fleet.
+
+    Process shards count their queries, cache lookups and Γ rows in the
+    workers; the session folds those tallies back in, so a process-sharded
+    run no longer reports zeros next to the serial run's real counts.
+    """
+
+    FIELDS = (
+        "explanations",
+        "model_queries",
+        "cache_hits",
+        "cache_misses",
+        "cache_hit_rate",
+        "perturbations",
+        "perturb_fallbacks",
+        "encoded_rows",
+        "materialized_rows",
+    )
+
+    class InProcessShards(ProcessBackend):
+        """Process shards that ran in this process, as they do when an
+        exhausted retry policy falls back to serial execution."""
+
+        def map_batch(self, fn, items):
+            return [fn(item) for item in items]
+
+    @staticmethod
+    def _run(backend, blocks):
+        model = CachedCostModel(AnalyticalCostModel("hsw"))
+        workers = None if isinstance(backend, ProcessBackend) else 2
+        with ExplanationSession(
+            model, FAST_CONFIG, backend=backend, workers=workers
+        ) as session:
+            explanations = session.explain_many(blocks, rng=3)
+            stats = session.stats()
+        return explanations, stats
+
+    def test_stats_match_across_backends(self, block_fleet):
+        blocks = block_fleet[:4]
+        runs = {
+            backend: self._run(backend, blocks)
+            for backend in ("serial", "thread", "process")
+        }
+        with self.InProcessShards(2) as fallback:
+            runs["process-fallback"] = self._run(fallback, blocks)
+        serial_explanations, serial_stats = runs["serial"]
+        assert serial_stats.model_queries == sum(
+            e.num_queries for e in serial_explanations
+        )
+        assert serial_stats.perturbations > 0 and serial_stats.encoded_rows > 0
+        expected = {f: getattr(serial_stats, f) for f in self.FIELDS}
+        for backend, (explanations, stats) in runs.items():
+            assert [explanation_fingerprint(e) for e in explanations] == [
+                explanation_fingerprint(e) for e in serial_explanations
+            ], backend
+            assert {f: getattr(stats, f) for f in self.FIELDS} == expected, backend
+
+
 class TestShardWorker:
     """The process-shard worker function, exercised in-process.
 
@@ -164,9 +226,14 @@ class TestShardWorker:
             list(zip(range(len(workload)), workload, streams)),
             100_000,
         )
-        pairs = _explain_shard_remote(payload)
+        pairs, tally, pid = _explain_shard_remote(payload)
         assert [position for position, _ in pairs] == list(range(len(workload)))
         assert [explanation_fingerprint(e) for _, e in pairs] == expected
+        # The shard reports its own accounting: every query it made, and
+        # the process it ran in.
+        assert tally.queries == sum(e.num_queries for _, e in pairs) > 0
+        assert tally.perturbations > 0
+        assert pid == os.getpid()
 
     def test_worker_honours_disabled_shared_background(self, tiny_blocks):
         from repro.runtime.session import _explain_shard_remote
@@ -180,7 +247,7 @@ class TestShardWorker:
             [(0, tiny_blocks[0], streams[0]), (1, tiny_blocks[0], streams[1])],
             100_000,
         )
-        pairs = _explain_shard_remote(payload)
+        pairs, _tally, _pid = _explain_shard_remote(payload)
         assert len(pairs) == 2
 
 
