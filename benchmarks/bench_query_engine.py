@@ -1064,6 +1064,9 @@ def main(argv=None) -> int:
         encoded_pipeline = run_encoded_pipeline_bench(args, blocks)
         report["encoded_pipeline"] = encoded_pipeline
 
+    # Stamp before merging: sections kept from an earlier run keep the CPU
+    # count they were recorded on.
+    stamp_host_cpus(report)
     output = Path(args.output)
     if selected != set(SECTIONS) and output.exists():
         # Partial run: keep the sections this invocation did not measure, so
@@ -1076,7 +1079,6 @@ def main(argv=None) -> int:
             previous.update(report)
             report = previous
 
-    stamp_host_cpus(report)
     output.write_text(json.dumps(report, indent=2) + "\n")
 
     print(

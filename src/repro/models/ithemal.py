@@ -128,6 +128,11 @@ def _softplus(x: float) -> float:
 #: shared by the sequential and batched inference paths so they stay in sync.
 _EXP_CLAMP_LIMIT = 12.0
 
+#: Entries the pooled-embedding memo holds before it is cleared wholesale
+#: (the policy of ``repro.explain.precision._BOUND_MEMO``): a served model
+#: sees a few thousand new instructions per corpus pass, forever.
+_EMBED_MEMO_LIMIT = 65536
+
 
 def _exp_clamped(x: float, limit: float = _EXP_CLAMP_LIMIT) -> float:
     """``exp`` with the argument clamped."""
@@ -166,8 +171,16 @@ class IthemalCostModel(CostModel):
         # by instruction content key (perturbed blocks share Instruction
         # instances, and identical content tokenises identically).  The memo
         # depends only on ``self.embedding``, so anything that mutates the
-        # embedding matrix (training, load) must clear it.
+        # embedding matrix (training, load) must clear it.  Bounded by
+        # ``_EMBED_MEMO_LIMIT`` and left out of pickles.
         self._embed_memo: Dict[tuple, np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        # The memo is rebuilt on demand; pickles (process workers, the
+        # served model) stay the size of the parameters.
+        state = super().__getstate__()
+        state["_embed_memo"] = {}
+        return state
 
     # ----------------------------------------------------------- parameters
 
@@ -221,6 +234,8 @@ class IthemalCostModel(CostModel):
                 for tok in self.tokenizer.instruction_tokens(instruction)
             ]
             vector = self.embedding[token_ids].mean(axis=0)
+            if len(self._embed_memo) >= _EMBED_MEMO_LIMIT:
+                self._embed_memo.clear()
             self._embed_memo[key] = vector
         return vector
 

@@ -25,19 +25,33 @@ loop needs to know about one instruction is compiled once into an
 explanation hot loop — thousands of perturbed blocks sharing a handful of
 instruction objects — pays the table lookups once per instruction object,
 not once per simulated block.
+
+Before it runs, a block's records are planned: every tracked location is
+relabelled to a dense slot index by first occurrence.  The loop only ever
+compares locations for equality, so two blocks whose records have equal
+shapes and equal slot patterns — for example a block and a register rename
+of it that keeps its dependencies — simulate identically.  The plan's
+structure key says exactly that, and the row kernel memoises throughput
+on it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bb.block import BasicBlock
 from repro.bb.dependencies import _tracked_accesses, raw_dependency_pairs
 from repro.isa.instructions import Instruction, Location
-from repro.isa.operands import RegisterOperand
+from repro.isa.operands import MemoryOperand, RegisterOperand
 from repro.uarch.microarch import MicroArchitecture, get_microarch
 from repro.uarch.tables import instruction_cost_for
+
+#: Structure keys one simulator's throughput memo holds before it is cleared
+#: wholesale (the policy of ``repro.explain.precision._BOUND_MEMO``): a
+#: corpus pass needs a few thousand, so eviction order does not matter.
+_STEADY_MEMO_LIMIT = 32768
 
 
 @dataclass(frozen=True)
@@ -103,13 +117,61 @@ def _is_zero_idiom(instruction: Instruction) -> bool:
     return False
 
 
+def _operand_order(
+    instruction: Instruction, locations: Tuple[Location, ...]
+) -> Tuple[Location, ...]:
+    """``locations`` ordered by the first operand that names them.
+
+    An operand's address registers come before the memory location they
+    address; locations no operand names (implicit registers) follow, by
+    name.  Unlike the frozenset order the read/write sets come in, this
+    order does not follow the per-process hash seed, and a register rename
+    keeps it, so structure keys are the same in every interpreter launch.
+    """
+    if len(locations) < 2:
+        return locations
+    rank: Dict[Location, int] = {}
+    for operand in instruction.operands:
+        for register in operand.registers_read():
+            rank.setdefault(("reg", register.root), len(rank))
+        if isinstance(operand, RegisterOperand):
+            rank.setdefault(("reg", operand.register.root), len(rank))
+        elif isinstance(operand, MemoryOperand) and not operand.is_agen:
+            rank.setdefault(("mem", operand.address_key()), len(rank))
+    unnamed = len(rank)
+    return tuple(
+        sorted(locations, key=lambda loc: (rank.get(loc, unnamed), str(loc[1])))
+    )
+
+
+# One table per process, not per simulator: records are memoised on the
+# instruction and shared by every simulator of the same uarch and idiom
+# flags, so their shape ids must all come from the same table.
+_SHAPE_IDS: Dict[tuple, int] = {}
+_SHAPE_LOCK = threading.Lock()
+
+
+def _shape_id(shape: tuple) -> int:
+    """The interned id of a record shape ``(issue_uops, eliminated, uops, latency)``.
+
+    Ids are assigned under a lock, so racing first compiles never hand one
+    id to two different shapes.  They are process-local: see
+    :meth:`_Record.__reduce__`.
+    """
+    shape_id = _SHAPE_IDS.get(shape)
+    if shape_id is None:
+        with _SHAPE_LOCK:
+            shape_id = _SHAPE_IDS.setdefault(shape, len(_SHAPE_IDS))
+    return shape_id
+
+
 class _Record(NamedTuple):
     """What the steady-state loop reads of one instruction, compiled once.
 
     Hazard tracking ignores flags and stack-pointer updates (they are
     renamed away), exactly as the block's dependency analysis does, so the
     tracked reads/writes are the memoised
-    :func:`~repro.bb.dependencies._tracked_accesses`.
+    :func:`~repro.bb.dependencies._tracked_accesses`, in operand order.
     """
 
     #: Front-end slots the instruction takes (eliminated idioms still take
@@ -126,6 +188,36 @@ class _Record(NamedTuple):
     uops: Tuple[Tuple[Tuple[int, ...], float], ...]
     #: ``max(latency, 1.0)``: the cycles from dispatch to result.
     latency: float
+    #: Interned id of ``(issue_uops, eliminated, uops, latency)``.
+    shape: int
+
+    def __reduce__(self):
+        # Records travel with pickled instructions, and shape ids are only
+        # meaningful in the process that interned them: re-intern on load.
+        return (_record, tuple(self[:6]))
+
+
+def _record(issue_uops, eliminated, reads, writes, uops, latency) -> _Record:
+    shape = _shape_id((issue_uops, eliminated, uops, latency))
+    return _Record(issue_uops, eliminated, reads, writes, uops, latency, shape)
+
+
+class _Slots(dict):
+    """Location -> dense slot index, numbered by first lookup."""
+
+    def __missing__(self, location: Location) -> int:
+        slot = self[location] = len(self)
+        return slot
+
+
+class _Plan(NamedTuple):
+    """A block's records with their locations relabelled to dense slots."""
+
+    #: Per instruction, flattened: shape id, read slots, write slots.
+    #: Blocks with equal keys simulate identically.
+    key: tuple
+    records: Sequence[_Record]
+    slots: int
 
 
 class PipelineSimulator:
@@ -146,6 +238,20 @@ class PipelineSimulator:
             f"_pipeline_{self.microarch.short_name}"
             f"_{int(config.move_elimination)}{int(config.zero_idiom_elimination)}"
         )
+        # (mnemonic, loads_memory, stores_memory) -> (total uops, uops, latency)
+        self._forms: Dict[tuple, tuple] = {}
+        # Structure key -> steady-state throughput, read by throughput_rows
+        # only.  A pure function of the key, so racing threads at worst
+        # simulate one key twice.
+        self._memo: Dict[tuple, float] = {}
+
+    def __getstate__(self) -> dict:
+        # The caches are rebuilt on demand; a pickled simulator (shipped to
+        # process workers inside its model) carries neither.
+        state = dict(self.__dict__)
+        state["_forms"] = {}
+        state["_memo"] = {}
+        return state
 
     # ----------------------------------------------------------------- API
 
@@ -157,9 +263,10 @@ class PipelineSimulator:
         bounds used for bottleneck classification.
         """
         records = self._records(block.instructions)
+        plan = self._plan(records)
         ports = self.microarch.ports
         port_busy = [0.0] * len(ports)
-        throughput, total_cycles = self._steady_state(records, port_busy)
+        throughput, total_cycles = self._steady_state(plan, port_busy)
         iterations = self.config.warmup_iterations + self.config.measured_iterations
         return SimulationResult(
             throughput=throughput,
@@ -175,11 +282,13 @@ class PipelineSimulator:
     def throughput(self, block: BasicBlock) -> float:
         """The steady-state throughput of ``block`` (cycles per iteration).
 
-        All mutable simulation state lives in locals of the loop, and the
-        memoised records are immutable, so concurrent calls (e.g.
-        :class:`~repro.models.uica.UiCACostModel`'s thread fan-out) are safe.
+        Always simulates: this is the per-block oracle the row kernel's
+        memo is checked against.  Mutable simulation state lives in locals
+        of the loop and the memoised records are immutable, so concurrent
+        calls (e.g. :class:`~repro.models.uica.UiCACostModel`'s thread
+        fan-out) are safe.
         """
-        return self._steady_state(self._records(block.instructions))[0]
+        return self._steady_state(self._plan(self._records(block.instructions)))[0]
 
     def throughput_rows(
         self, rows: Sequence[Sequence[Instruction]]
@@ -188,9 +297,22 @@ class PipelineSimulator:
 
         The row kernel behind the uiCA model's batch path: encoded
         perturbation rows simulate straight from their instruction
-        references, no block is constructed.
+        references, no block is constructed.  Rows with equal structure
+        keys are simulated once per simulator (bounded memo, cleared when
+        full); the result is the float :meth:`throughput` returns.
         """
-        return [self._steady_state(self._records(row))[0] for row in rows]
+        memo = self._memo
+        values = []
+        for row in rows:
+            plan = self._plan(self._records(row))
+            value = memo.get(plan.key)
+            if value is None:
+                value = self._steady_state(plan)[0]
+                if len(memo) >= _STEADY_MEMO_LIMIT:
+                    memo.clear()
+                memo[plan.key] = value
+            values.append(value)
+        return values
 
     # ------------------------------------------------------------ internals
 
@@ -204,7 +326,11 @@ class PipelineSimulator:
     def _compile(self, instruction: Instruction) -> _Record:
         """Build (and memoise on ``instruction``) its :class:`_Record`."""
         config = self.config
-        cost = instruction_cost_for(instruction, self.microarch)
+        form = (instruction.mnemonic, instruction.loads_memory, instruction.stores_memory)
+        compiled = self._forms.get(form)
+        if compiled is None:
+            compiled = self._forms[form] = self._compile_form(instruction)
+        total_uops, uops, latency = compiled
         eliminated = False
         breaks_dependency = False
         if config.zero_idiom_elimination and _is_zero_idiom(instruction):
@@ -213,6 +339,24 @@ class PipelineSimulator:
         elif config.move_elimination and _is_reg_move(instruction):
             eliminated = True
         reads, writes = _tracked_accesses(instruction)
+        record = _record(
+            max(0 if eliminated else total_uops, 1),
+            eliminated,
+            () if breaks_dependency else _operand_order(instruction, reads),
+            _operand_order(instruction, writes),
+            uops,
+            latency,
+        )
+        instruction.__dict__[self._record_attr] = record
+        return record
+
+    def _compile_form(self, instruction: Instruction) -> tuple:
+        """``(total uops, uops, latency)`` of the instruction's form.
+
+        Costs depend only on the mnemonic and the memory-access flags, so
+        register renames of one instruction share this part of the record.
+        """
+        cost = instruction_cost_for(instruction, self.microarch)
         uops: List[Tuple[Tuple[int, ...], float]] = []
         for uop_index, uop in enumerate(cost.uops):
             # Name order is the port tie-break (see _steady_state).
@@ -221,25 +365,37 @@ class PipelineSimulator:
             if uop_index == 0 and cost.throughput > 1.0:
                 occupancy = float(cost.throughput)
             uops.extend([(ports, occupancy)] * uop.count)
-        record = _Record(
-            issue_uops=max(0 if eliminated else cost.total_uops, 1),
-            eliminated=eliminated,
-            reads=() if breaks_dependency else reads,
-            writes=writes,
-            uops=tuple(uops),
-            latency=max(cost.latency, 1.0),
-        )
-        instruction.__dict__[self._record_attr] = record
-        return record
+        return cost.total_uops, tuple(uops), max(cost.latency, 1.0)
+
+    @staticmethod
+    def _plan(records: Sequence[_Record]) -> _Plan:
+        """Relabel the records' locations to dense slots, by first occurrence."""
+        slots = _Slots()
+        label = slots.__getitem__
+        key: list = []
+        for record in records:
+            key += (
+                record.shape,
+                tuple(map(label, record.reads)),
+                tuple(map(label, record.writes)),
+            )
+        return _Plan(tuple(key), records, len(slots))
 
     def _steady_state(
-        self, records: Sequence[_Record], port_busy: Optional[List[float]] = None
+        self, plan: _Plan, port_busy: Optional[List[float]] = None
     ) -> Tuple[float, float]:
-        """Run the block's records in a steady-state loop.
+        """Run a planned block in a steady-state loop.
 
         Returns ``(cycles per measured iteration, total cycles)``.  When
         ``port_busy`` is given (one slot per port, in microarch port order)
         each dispatched uop adds its occupancy to its port's slot.
+
+        The front end is closed-form: with ``U`` issue uops per iteration
+        and width ``W``, an instruction whose last uop is the block's
+        ``n``-th (from 0) issues in iteration ``i`` at cycle
+        ``(i·U + n) // W``, and iteration ``i`` leaves the front end at
+        ``(i + 1)·U // W`` — exact integers, as the slot-by-slot front end
+        they replace produced.  A never-written slot reads ``0.0``.
 
         A uop goes to the port that frees up first; equally-loaded ports
         tie-break by port name (the first strict minimum over name-ordered
@@ -251,31 +407,25 @@ class PipelineSimulator:
         config = self.config
         width = self._width
         warmup = config.warmup_iterations
-        register_ready: Dict[Location, float] = {}
-        ready_at = register_ready.get
+        key = plan.key
+        steps = []
+        block_uops = 0
+        for record, reads, writes in zip(plan.records, key[1::3], key[2::3]):
+            block_uops += record.issue_uops
+            steps.append(
+                (block_uops - 1, record.eliminated, reads, writes, record.uops, record.latency)
+            )
+        ready_at = [0.0] * plan.slots
         port_free = [0.0] * len(self._port_index)
-        frontend_cycle = 0.0
-        slots_left = width
+        issued = 0
         last_finish = 0.0
         end = warmup_end = 0.0
         for iteration in range(warmup + config.measured_iterations):
-            for issue_uops, eliminated, reads, writes, uops, latency in records:
-                # -- front end ------------------------------------------------
-                issue_time = frontend_cycle
-                remaining = issue_uops
-                while remaining > 0:
-                    take = remaining if remaining < slots_left else slots_left
-                    remaining -= take
-                    slots_left -= take
-                    issue_time = frontend_cycle
-                    if slots_left <= 0:
-                        frontend_cycle += 1.0
-                        slots_left = width
-
-                # -- dependencies ---------------------------------------------
-                ready = issue_time
-                for loc in reads:
-                    available = ready_at(loc, 0.0)
+            for last_uop, eliminated, reads, writes, uops, latency in steps:
+                # -- front end and dependencies -------------------------------
+                ready = (issued + last_uop) // width
+                for slot in reads:
+                    available = ready_at[slot]
                     if available > ready:
                         ready = available
 
@@ -302,17 +452,20 @@ class PipelineSimulator:
                             dispatch_time = start
                     finish = dispatch_time + latency
 
-                for loc in writes:
-                    register_ready[loc] = finish
+                for slot in writes:
+                    ready_at[slot] = finish
                 if finish > last_finish:
                     last_finish = finish
+            issued += block_uops
+            frontend_cycle = issued // width
             end = frontend_cycle if frontend_cycle > last_finish else last_finish
             if iteration == warmup - 1:
                 warmup_end = end
-        # Without warm-up ``warmup_end`` stays 0.0 and the subtraction is exact.
+        # Without warm-up ``warmup_end`` stays 0.0 and the subtraction is
+        # exact; integer cycle counts convert exactly.
         cycles = end - warmup_end
         throughput = cycles / config.measured_iterations
-        return (throughput if throughput > 0.05 else 0.05), end
+        return (throughput if throughput > 0.05 else 0.05), float(end)
 
 
 def _dependency_bound(

@@ -45,3 +45,33 @@ def test_headline_ratios_match_report(doc, report):
         "warm_hit": f"{round(report['result_cache']['warm_vs_disabled_speedup']):,}",
     }
     assert _figures(doc.read_text()) == expected
+
+
+def test_backend_matrix_figures_match_report(report):
+    """The backend-matrix prose quotes the recorded matrix, not an old one."""
+    matrix = report["backend_matrix"]
+    text = (ROOT / "docs" / "performance.md").read_text()
+    backends = matrix["backends"]
+
+    rates = re.findall(
+        r"serial\s+([\d.]+)\s+expl/s,\s+thread\s+([\d.]+),\s+process\s+([\d.]+)"
+        r"\s+at\s+`workers=(\d+)`",
+        text,
+    )
+    assert rates == [
+        (
+            f"{backends['serial']['explanations_per_sec']:.3f}",
+            f"{backends['thread']['explanations_per_sec']:.3f}",
+            f"{backends['process']['explanations_per_sec']:.3f}",
+            str(matrix["workers"]),
+        )
+    ]
+    speedups = set(re.findall(r"process\s+([\d.]+)×\s+thread", text))
+    assert speedups == {f"{matrix['process_vs_thread_speedup']:.2f}"}
+
+    queries = {row["model_queries"] for row in backends.values()}
+    assert len(queries) == 1, f"backends disagree on model_queries: {queries}"
+    quoted = set(
+        re.findall(r"`model_queries`\s+is\s+identical\s+across\s+the\s+three\s+rows\s+\(([\d,]+)\)", text)
+    )
+    assert quoted == {f"{queries.pop():,}"}

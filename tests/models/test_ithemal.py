@@ -117,3 +117,41 @@ class TestPersistence:
             IthemalConfig(embedding_size=0)
         with pytest.raises(ValueError):
             IthemalConfig(validation_fraction=1.5)
+
+
+class TestEmbeddingMemo:
+    """The pooled-embedding memo is bounded, exact and never pickled."""
+
+    @staticmethod
+    def _rows(dataset):
+        return [block.instructions for block in dataset.blocks()]
+
+    def test_memo_stays_under_its_limit_and_exact(self, tiny_dataset, monkeypatch):
+        import repro.models.ithemal as ithemal
+
+        config = IthemalConfig(embedding_size=8, hidden_size=8)
+        rows = self._rows(tiny_dataset)
+        unbounded = IthemalCostModel("hsw", config)
+        expected = [unbounded._predict_rows_batch([row])[0] for row in rows]
+        assert len(unbounded._embed_memo) > 5
+
+        monkeypatch.setattr(ithemal, "_EMBED_MEMO_LIMIT", 5)
+        bounded = IthemalCostModel("hsw", config)
+        got = []
+        for row in rows:
+            got.append(bounded._predict_rows_batch([row])[0])
+            assert len(bounded._embed_memo) <= 5
+        assert got == expected
+
+    def test_pickle_drops_the_memo(self, tiny_dataset):
+        import pickle
+
+        model = IthemalCostModel("hsw", IthemalConfig(embedding_size=8, hidden_size=8))
+        rows = self._rows(tiny_dataset)
+        cold = pickle.dumps(model)
+        expected = model._predict_rows_batch(rows)
+        assert model._embed_memo
+        assert len(pickle.dumps(model)) == len(cold)
+        restored = pickle.loads(pickle.dumps(model))
+        assert restored._embed_memo == {}
+        assert restored._predict_rows_batch(rows) == expected
