@@ -1,23 +1,21 @@
-"""Throughput benchmark of the batched query engine.
+"""Benchmark of the explanation serving stack.
 
-Measures the end-to-end explanation pipeline in two configurations:
+Measures what the repository benchmark (``perfbench/``) does not: the
+execution-backend matrix, the warm explanation service against cold
+sessions, the TCP transport, the dispatcher fleet, cross-request continuous
+batching, the persistent result cache, and the price of fault tolerance.
+Each section is selectable with ``--only``/``--skip``.
 
-* **sequential** — the pre-batching engine: one ``model.predict`` call per
-  perturbed block and the scalar reference implementation of Γ
-  (``PerturbationConfig(vectorized=False)``),
-* **batched** — the batched query engine: every precision-refinement round
-  routes all its perturbed blocks through a single ``predict_batch`` call,
-  Γ runs its vectorized fast path, and the cache wrapper dedupes batches.
-
-Reported per mode: wall-clock time, explanations/sec, real model queries,
-queries/sec and the cache hit rate.  A raw model-level microbenchmark
-(``predict_many`` vs ``predict_batch`` on a fixed perturbation set) is
-included so the model-side speedup is visible independently of the sampler.
+Every run merges into an existing report file: sections it did not run
+keep their recorded numbers and their ``cpus`` stamp.  That includes the
+retired sections (``sequential``/``batched``/``model_microbench``,
+``soa_engine``, ``encoded_pipeline``), whose A/B lanes compared engines
+the library no longer ships; their numbers stay frozen in the report.
 
 Run standalone (writes ``BENCH_query_engine.json`` at the repository root):
 
     PYTHONPATH=src python benchmarks/bench_query_engine.py
-    PYTHONPATH=src python benchmarks/bench_query_engine.py --quick --model crude
+    PYTHONPATH=src python benchmarks/bench_query_engine.py --quick --only matrix
 """
 
 from __future__ import annotations
@@ -36,20 +34,15 @@ import os
 
 from repro.data.synthesis import BlockSynthesizer
 from repro.explain.config import ExplainerConfig
-from repro.explain.explainer import CometExplainer
 from repro.models.base import CachedCostModel
 from repro.models.registry import build_cost_model
 from repro.perturb.config import PerturbationConfig
 from repro.runtime.backend import available_backends
 from repro.runtime.session import ExplanationSession
 
-#: Report sections, in run (and report) order.  ``core`` is the
-#: sequential/batched/microbench trio the report is named after; the rest
-#: are independently selectable with ``--only``/``--skip``, and a partial
-#: run merges its sections into an existing report file instead of
-#: clobbering the sections it did not run.
+#: Report sections, in run (and report) order, selectable with
+#: ``--only``/``--skip``.
 SECTIONS = (
-    "core",
     "matrix",
     "service",
     "socket",
@@ -57,8 +50,6 @@ SECTIONS = (
     "continuous_batching",
     "result_cache",
     "resilience",
-    "soa_engine",
-    "encoded_pipeline",
 )
 
 
@@ -66,7 +57,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--model", default="crude", help="cost model short name")
     parser.add_argument("--microarch", default="hsw")
-    parser.add_argument("--blocks", type=int, default=12, help="number of blocks to explain")
     parser.add_argument("--min-size", type=int, default=4, help="smallest block (instructions)")
     parser.add_argument("--max-size", type=int, default=14, help="largest block (instructions)")
     parser.add_argument("--seed", type=int, default=0)
@@ -89,7 +79,9 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--matrix-blocks",
         type=int,
         default=6,
-        help="number of blocks explained per backend in the matrix",
+        help="number of blocks explained per backend in the matrix and by "
+        "the service, socket, dispatcher, result-cache and resilience "
+        "sections",
     )
     parser.add_argument(
         "--only",
@@ -97,7 +89,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         choices=SECTIONS,
         default=None,
         metavar="SECTION",
-        help="run only these sections (default: all); a partial run merges "
+        help="run only these sections (default: all); every run merges "
         f"into an existing report file. Sections: {', '.join(SECTIONS)}",
     )
     parser.add_argument(
@@ -159,69 +151,8 @@ def build_model(args) -> CachedCostModel:
     return CachedCostModel(model)
 
 
-def explainer_config(batched: bool) -> ExplainerConfig:
-    return ExplainerConfig(
-        epsilon=0.2,
-        relative_epsilon=0.0,
-        batch_queries=batched,
-        perturbation=PerturbationConfig(vectorized=batched),
-    )
-
-
-def run_mode(args, blocks, batched: bool) -> dict:
-    model = build_model(args)
-    explainer = CometExplainer(model, explainer_config(batched), rng=args.seed)
-    start = time.perf_counter()
-    explanations = explainer.explain_many(blocks, rng=args.seed)
-    elapsed = time.perf_counter() - start
-    queries = model.query_count  # real inner-model evaluations
-    lookups = model.hits + model.misses
-    return {
-        "mode": "batched" if batched else "sequential",
-        "blocks": len(blocks),
-        "seconds": round(elapsed, 4),
-        "explanations_per_sec": round(len(blocks) / elapsed, 4),
-        "model_queries": queries,
-        "queries_per_sec": round(queries / elapsed, 1),
-        "cache_lookups": lookups,
-        "cache_hit_rate": round(model.hit_rate, 4),
-        "mean_precision": round(
-            sum(e.precision for e in explanations) / len(explanations), 4
-        ),
-        "anchors_meeting_threshold": sum(e.meets_threshold for e in explanations),
-    }
-
-
-def run_model_microbench(args, blocks) -> dict:
-    """predict_many vs predict_batch on a fixed set of perturbed blocks."""
-    from repro.perturb.sampler import PerturbationSampler
-
-    per_block = 40 if args.quick else 200
-    queries = []
-    for block in blocks:
-        sampler = PerturbationSampler(block, rng=args.seed)
-        queries.extend(sampler.sample_unconstrained(per_block))
-
-    sequential_model = build_model(args).inner
-    start = time.perf_counter()
-    sequential_values = sequential_model.predict_many(queries)
-    sequential_elapsed = time.perf_counter() - start
-
-    batched_model = build_model(args).inner
-    start = time.perf_counter()
-    batched_values = batched_model.predict_batch(queries)
-    batched_elapsed = time.perf_counter() - start
-
-    max_abs_diff = max(
-        abs(a - b) for a, b in zip(sequential_values, batched_values)
-    )
-    return {
-        "queries": len(queries),
-        "predict_many_qps": round(len(queries) / sequential_elapsed, 1),
-        "predict_batch_qps": round(len(queries) / batched_elapsed, 1),
-        "model_speedup": round(sequential_elapsed / batched_elapsed, 2),
-        "max_abs_prediction_diff": max_abs_diff,
-    }
+def explainer_config() -> ExplainerConfig:
+    return ExplainerConfig(epsilon=0.2, relative_epsilon=0.0)
 
 
 def run_backend_matrix(args, blocks) -> dict:
@@ -241,7 +172,7 @@ def run_backend_matrix(args, blocks) -> dict:
         "blocks": len(blocks),
         "backends": {},
     }
-    config = explainer_config(batched=True)
+    config = explainer_config()
     for backend_name in available_backends():
         model = build_cost_model(args.matrix_model, args.microarch, cached=True)
         with ExplanationSession(
@@ -289,7 +220,7 @@ def run_service_bench(args, blocks) -> dict:
     """
     from repro.service import ExplanationService
 
-    config = explainer_config(batched=True)
+    config = explainer_config()
     model_name = args.matrix_model
     stream = [
         (block, args.seed)
@@ -346,7 +277,7 @@ def run_socket_bench(args, blocks) -> dict:
     """
     from repro.service import ExplanationService, ServiceClient, SocketServer
 
-    config = explainer_config(batched=True)
+    config = explainer_config()
     stream = [
         (block, args.seed)
         for _repeat in range(args.service_repeats)
@@ -401,7 +332,7 @@ def run_dispatcher_matrix(args, blocks) -> dict:
     """
     from repro.service import ExplanationService
 
-    config = explainer_config(batched=True)
+    config = explainer_config()
     model_name = args.matrix_model
     uarchs = ("hsw", "skl")
     stream = [
@@ -613,7 +544,7 @@ def run_result_cache_bench(args, blocks) -> dict:
 
     from repro.service import ExplanationService
 
-    config = explainer_config(batched=True)
+    config = explainer_config()
     model_name = args.matrix_model
     stream = [
         (block, args.seed + repeat)
@@ -734,7 +665,7 @@ def run_resilience_bench(args, blocks) -> dict:
     if recovered != healthy:  # bit-for-bit, or the timings are meaningless
         raise RuntimeError("recovered batch diverged from the healthy batch")
 
-    config = explainer_config(batched=True)
+    config = explainer_config()
     with tempfile.TemporaryDirectory() as tmp:
         journal = Path(tmp) / "bench.jsonl"
         with ExplanationSession(build_model(args), config) as session:
@@ -764,205 +695,6 @@ def run_resilience_bench(args, blocks) -> dict:
     }
 
 
-def run_soa_engine_bench(args, blocks) -> dict:
-    """Struct-of-arrays Γ engine + fused batch loop vs the pre-SoA hot path.
-
-    Both lanes run the full batched explanation pipeline over the same
-    seeded workload.  The ``baseline`` lane forces the pre-SoA
-    configuration — the ``legacy`` per-perturbation Γ engine and the numpy
-    gather/reduceat batch kernel — while the ``soa`` lane runs the current
-    defaults (wave-structured struct-of-arrays Γ, fused per-block cost
-    loop, array-state KL-LUCB rounds).  A Γ-only microbenchmark per engine
-    (reference oracle included) isolates the perturbation-layer speedup
-    from the Amdahl-limited end-to-end number.
-    """
-    from repro.perturb.algorithm import BlockPerturber, forced_engine
-
-    def lane(engine_name: str) -> dict:
-        model = build_model(args)
-        if engine_name == "legacy":
-            model.inner._use_reference_batch_kernel = True
-        explainer = CometExplainer(model, explainer_config(batched=True), rng=args.seed)
-        with forced_engine(engine_name if engine_name != "soa" else None):
-            start = time.perf_counter()
-            explainer.explain_many(blocks, rng=args.seed)
-            elapsed = time.perf_counter() - start
-        return {
-            "seconds": round(elapsed, 4),
-            "explanations_per_sec": round(len(blocks) / elapsed, 4),
-            "model_queries": model.query_count,
-        }
-
-    def gamma_rate(engine_name: str) -> float:
-        count = 200 if args.quick else 2000
-        total = 0.0
-        drawn = 0
-        for block in blocks:
-            perturber = BlockPerturber(block, rng=args.seed, engine=engine_name)
-            start = time.perf_counter()
-            perturber.perturb_many(count)
-            total += time.perf_counter() - start
-            drawn += count
-        return round(drawn / total, 1)
-
-    baseline = lane("legacy")
-    soa = lane("soa")
-    return {
-        "blocks": len(blocks),
-        "baseline_pre_soa": baseline,
-        "soa": soa,
-        "explanations_per_sec_speedup": round(
-            soa["explanations_per_sec"] / baseline["explanations_per_sec"], 2
-        ),
-        "gamma_perturbations_per_sec": {
-            engine: gamma_rate(engine) for engine in ("reference", "legacy", "soa")
-        },
-    }
-
-
-def run_encoded_pipeline_bench(args, blocks) -> dict:
-    """Encoded perturbation batches end to end vs the materialised pipeline.
-
-    Three analytical-model lanes run the identical seeded workload through
-    the full batched explanation pipeline:
-
-    * ``pr9_baseline`` — encoding off *and* the KL-bound bisection memo off:
-      exactly the PR 9 hot path, re-measured in the same run so the headline
-      speedup is an honest same-machine A/B rather than a comparison against
-      a stale recorded number;
-    * ``materialized`` — encoding off, memo on: isolates the satellite
-      bound-memo win from the columnar-pipeline win;
-    * ``encoded`` — the current defaults: Γ emits encoded rows, the cache
-      dedupes on row keys, and the analytical row kernel predicts without
-      constructing a single block.
-
-    An Ithemal-model pair (untrained weights — serving cost is independent
-    of weight values) records the neural-model win, where the encoded path
-    additionally amortises re-tokenisation through the per-instruction
-    embedding memo.  Results are asserted bit-for-bit identical across all
-    lanes of each pair — a lane that diverged would make the timings
-    meaningless — and the encoded lanes record their row accounting so the
-    report shows how much of the pipeline actually stayed encoded.
-    """
-    from contextlib import nullcontext
-
-    from repro.explain.precision import bound_memo_disabled
-    from repro.models.ithemal import IthemalCostModel
-    from repro.perturb.batch import encoded_tally, forced_encoded
-
-    def lane(workload, model_factory, encoded, memo, trials):
-        def once():
-            model = model_factory()
-            explainer = CometExplainer(
-                model, explainer_config(batched=True), rng=args.seed
-            )
-            memo_ctx = nullcontext() if memo else bound_memo_disabled()
-            tally_base = encoded_tally()
-            with forced_encoded(encoded), memo_ctx:
-                start = time.perf_counter()
-                explanations = explainer.explain_many(workload, rng=args.seed)
-                elapsed = time.perf_counter() - start
-            tally = encoded_tally().delta(tally_base)
-            results = [
-                (
-                    tuple(str(f) for f in e.features),
-                    e.precision,
-                    e.coverage,
-                    e.num_queries,
-                    e.prediction,
-                )
-                for e in explanations
-            ]
-            return elapsed, model.query_count, tally, results
-
-        elapsed, queries, tally, results = once()
-        for _ in range(trials - 1):
-            again, queries, tally, results = once()
-            elapsed = min(elapsed, again)
-        row = {
-            "seconds": round(elapsed, 4),
-            "explanations_per_sec": round(len(workload) / elapsed, 4),
-            "model_queries": queries,
-            "encoded_rows": tally.encoded,
-            "materialized_rows": tally.materialized,
-        }
-        return row, results
-
-    def pair(workload, model_factory, trials):
-        lanes = {}
-        baseline_results = None
-        for name, encoded, memo in (
-            ("pr9_baseline", False, False),
-            ("materialized", False, True),
-            ("encoded", True, True),
-        ):
-            lanes[name], results = lane(workload, model_factory, encoded, memo, trials)
-            if baseline_results is None:
-                baseline_results = results
-            elif results != baseline_results:  # bit-for-bit, or timings lie
-                raise RuntimeError(f"{name} lane diverged from pr9_baseline")
-        base_rate = lanes["pr9_baseline"]["explanations_per_sec"]
-        lanes["encoded_vs_pr9"] = round(
-            lanes["encoded"]["explanations_per_sec"] / base_rate, 2
-        )
-        lanes["encoded_vs_materialized"] = round(
-            lanes["encoded"]["explanations_per_sec"]
-            / lanes["materialized"]["explanations_per_sec"],
-            2,
-        )
-        return lanes
-
-    analytical = pair(
-        blocks, lambda: build_model(args), trials=1 if args.quick else 3
-    )
-    neural_blocks = BlockSynthesizer(rng=args.seed).generate_many(
-        2 if args.quick else 12,
-        min_instructions=6,
-        max_instructions=12,
-        rng=args.seed + 2,
-    )
-
-    # An untrained Ithemal predicts near-uniformly, so KL-LUCB converges at
-    # the sample floor and there is no query traffic to measure.  Train a
-    # small configuration briefly (seeded, against the analytical model's
-    # throughputs) so predictions vary with block content; parameters are
-    # snapshotted once and restored per trial — lane timings never include
-    # training, and every trial starts from identical weights.
-    def trained_ithemal():
-        from repro.models.analytical import AnalyticalCostModel
-        from repro.models.ithemal import IthemalConfig
-
-        teacher = AnalyticalCostModel(args.microarch)
-        training = BlockSynthesizer(rng=args.seed + 3).generate_many(
-            32, min_instructions=3, max_instructions=10, rng=args.seed + 4
-        )
-        model = IthemalCostModel(
-            args.microarch,
-            IthemalConfig(embedding_size=16, hidden_size=16, epochs=2),
-        )
-        model.train(training, [teacher.predict(b) for b in training])
-        return {name: value.copy() for name, value in model.parameters().items()}, model
-
-    weights, template = trained_ithemal()
-
-    def ithemal_factory():
-        for name, value in template.parameters().items():
-            value[...] = weights[name]
-        template._embed_memo.clear()
-        return CachedCostModel(template)
-
-    ithemal = pair(
-        neural_blocks,
-        ithemal_factory,
-        trials=1 if args.quick else 3,
-    )
-    return {
-        "blocks": len(blocks),
-        "analytical": analytical,
-        "ithemal": {"blocks": len(neural_blocks), **ithemal},
-    }
-
-
 def stamp_host_cpus(report: dict) -> None:
     """Stamp the host CPU count into the report and every section.
 
@@ -983,7 +715,6 @@ def main(argv=None) -> int:
     skipped = set(args.skip)
     selected = {s for s in (args.only or SECTIONS) if s not in skipped}
     if args.quick:
-        args.blocks = min(args.blocks, 3)
         args.max_size = min(args.max_size, 8)
         args.matrix_blocks = min(args.matrix_blocks, 2)
         args.dispatcher_repeats = 1
@@ -991,7 +722,7 @@ def main(argv=None) -> int:
 
     synthesizer = BlockSynthesizer(rng=args.seed)
     blocks = synthesizer.generate_many(
-        args.blocks,
+        args.matrix_blocks,
         min_instructions=args.min_size,
         max_instructions=args.max_size,
         rng=args.seed + 1,
@@ -1005,38 +736,24 @@ def main(argv=None) -> int:
         "block_sizes": [args.min_size, args.max_size],
     }
 
-    sequential = batched = micro = speedup = None
-    if "core" in selected:
-        sequential = run_mode(args, blocks, batched=False)
-        batched = run_mode(args, blocks, batched=True)
-        micro = run_model_microbench(args, blocks)
-        speedup = round(
-            batched["explanations_per_sec"] / sequential["explanations_per_sec"], 2
-        )
-        report["sequential"] = sequential
-        report["batched"] = batched
-        report["explanations_per_sec_speedup"] = speedup
-        report["model_microbench"] = micro
-
     matrix = None
     if "matrix" in selected:
-        matrix_blocks = blocks[: args.matrix_blocks]
-        matrix = run_backend_matrix(args, matrix_blocks)
+        matrix = run_backend_matrix(args, blocks)
         report["backend_matrix"] = matrix
 
     service = None
     if "service" in selected:
-        service = run_service_bench(args, blocks[: args.matrix_blocks])
+        service = run_service_bench(args, blocks)
         report["service"] = service
 
     socket_bench = None
     if "socket" in selected:
-        socket_bench = run_socket_bench(args, blocks[: args.matrix_blocks])
+        socket_bench = run_socket_bench(args, blocks)
         report["service_socket"] = socket_bench
 
     dispatcher_matrix = None
     if "dispatchers" in selected:
-        dispatcher_matrix = run_dispatcher_matrix(args, blocks[: args.matrix_blocks])
+        dispatcher_matrix = run_dispatcher_matrix(args, blocks)
         report["dispatcher_matrix"] = dispatcher_matrix
 
     continuous = None
@@ -1046,31 +763,21 @@ def main(argv=None) -> int:
 
     result_cache = None
     if "result_cache" in selected:
-        result_cache = run_result_cache_bench(args, blocks[: args.matrix_blocks])
+        result_cache = run_result_cache_bench(args, blocks)
         report["result_cache"] = result_cache
 
     resilience = None
     if "resilience" in selected:
-        resilience = run_resilience_bench(args, blocks[: args.matrix_blocks])
+        resilience = run_resilience_bench(args, blocks)
         report["resilience"] = resilience
-
-    soa_engine = None
-    if "soa_engine" in selected:
-        soa_engine = run_soa_engine_bench(args, blocks)
-        report["soa_engine"] = soa_engine
-
-    encoded_pipeline = None
-    if "encoded_pipeline" in selected:
-        encoded_pipeline = run_encoded_pipeline_bench(args, blocks)
-        report["encoded_pipeline"] = encoded_pipeline
 
     # Stamp before merging: sections kept from an earlier run keep the CPU
     # count they were recorded on.
     stamp_host_cpus(report)
     output = Path(args.output)
-    if selected != set(SECTIONS) and output.exists():
-        # Partial run: keep the sections this invocation did not measure, so
-        # --only re-records one section without clobbering the report.
+    if output.exists():
+        # Keep every section this invocation did not measure — including the
+        # retired ones no run re-records — so a run never drops numbers.
         try:
             previous = json.loads(output.read_text())
         except (OSError, ValueError):
@@ -1085,18 +792,6 @@ def main(argv=None) -> int:
         f"query-engine benchmark — model={args.model} blocks={len(blocks)} "
         f"sections={','.join(s for s in SECTIONS if s in selected)}"
     )
-    if sequential is not None:
-        for row in (sequential, batched):
-            print(
-                f"  {row['mode']:>10}: {row['seconds']:7.2f}s  "
-                f"{row['explanations_per_sec']:7.3f} expl/s  "
-                f"{row['queries_per_sec']:9.1f} q/s  "
-                f"hit-rate {row['cache_hit_rate']:.2%}"
-            )
-        print(
-            f"  speedup: {speedup:.2f}x explanations/sec  "
-            f"(model-level predict_batch: {micro['model_speedup']:.2f}x)"
-        )
     if matrix is not None:
         print(
             f"backend matrix — model={matrix['model']} "
@@ -1223,41 +918,6 @@ def main(argv=None) -> int:
             f"({resilience['checkpoint_replay_speedup']:.2f}x, "
             f"{resilience['checkpoint_skips']} skips)"
         )
-    if soa_engine is not None:
-        print(f"soa engine — {soa_engine['blocks']} blocks")
-        for name in ("baseline_pre_soa", "soa"):
-            row = soa_engine[name]
-            print(
-                f"  {name:>16}: {row['seconds']:7.2f}s  "
-                f"{row['explanations_per_sec']:7.3f} expl/s"
-            )
-        print(
-            f"  soa vs pre-soa: "
-            f"{soa_engine['explanations_per_sec_speedup']:.2f}x explanations/sec"
-        )
-        gamma = soa_engine["gamma_perturbations_per_sec"]
-        print(
-            "  Γ perturbations/sec: "
-            + "  ".join(f"{engine}={gamma[engine]:,.0f}" for engine in gamma)
-        )
-    if encoded_pipeline is not None:
-        print(f"encoded pipeline — {encoded_pipeline['blocks']} blocks")
-        for model_key in ("analytical", "ithemal"):
-            section = encoded_pipeline[model_key]
-            for name in ("pr9_baseline", "materialized", "encoded"):
-                row = section[name]
-                print(
-                    f"  {model_key:>10} {name:>12}: {row['seconds']:7.2f}s  "
-                    f"{row['explanations_per_sec']:7.3f} expl/s  "
-                    f"({row['encoded_rows']} encoded / "
-                    f"{row['materialized_rows']} materialized rows)"
-                )
-            print(
-                f"  {model_key:>10} encoded vs pr9: "
-                f"{section['encoded_vs_pr9']:.2f}x  "
-                f"(vs materialized+memo: "
-                f"{section['encoded_vs_materialized']:.2f}x)"
-            )
     print(f"  report written to {output}")
     return 0
 

@@ -69,9 +69,9 @@ def model_share(stats: pstats.Stats) -> float:
     line-number drift.  ``_predict_rows_batch`` is the analytical model's
     fused kernel — the top-level inner entry on the encoded path, where
     ``predict_batch`` calls it directly and ``_predict_batch`` never runs;
-    ``_predict_batch`` covers the materialised and reference-kernel paths.
-    Taking the max (never the sum: one delegates to the other) keeps the
-    floor meaningful on every lane.
+    ``_predict_batch`` wraps it for batches of plain blocks (the reference
+    Γ engine's rows).  Taking the max (never the sum: one delegates to the
+    other) keeps the floor meaningful on every lane.
     """
     total = stats.total_tt
     if total <= 0.0:

@@ -22,7 +22,7 @@ from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import CoverageEstimator, PopulationRecord
 from repro.explain.precision import PrecisionEstimator
 from repro.models.base import CostModel
-from repro.perturb.batch import PerturbationBatch, encoded_enabled
+from repro.perturb.batch import PerturbationBatch
 from repro.perturb.sampler import PerturbationSampler
 from repro.utils.cancellation import CancelToken
 from repro.utils.rng import RandomSource
@@ -102,10 +102,11 @@ class AnchorSearch:
 
         Sub-generator of :meth:`search_rounds`.  Perturbations are drawn per
         request in request order, so the random stream is consumed exactly the
-        same way in both modes.  In batched mode the round's blocks are yielded
-        outward — the driver answers with one prediction array, typically from
-        a single ``predict_batch`` call (possibly fused with other requests'
-        rounds) — and the tolerance-ball comparison is vectorized.  In
+        same way in both modes.  In batched mode the round's rows are yielded
+        outward as one :class:`PerturbationBatch` — the driver answers with
+        one prediction array, typically from a single ``predict_batch`` call
+        (possibly fused with other requests' rounds) — and the
+        tolerance-ball comparison is vectorized.  In
         sequential mode (``config.batch_queries = False``) each perturbed
         block is queried through ``model.predict`` on its own, and nothing is
         yielded.
@@ -123,30 +124,19 @@ class AnchorSearch:
                 outcome_batches.append(outcomes)
             return outcome_batches
 
-        if encoded_enabled():
-            # Encoded path: the same draws in the same request order (the
-            # sampler consumes an identical random stream either way), but
-            # rows stay in deferred form; block construction happens only if
-            # the serving model lacks a row kernel.
-            segment_sizes: List[int] = []
-            rows: List[object] = []
-            for arm, count in requests:
-                batch = self.sampler.sample_encoded(candidates[arm], count)
-                segment_sizes.append(len(batch))
-                rows.extend(batch.rows)
-            if not rows:
-                return [np.zeros(0, dtype=bool) for _ in requests]
-            predictions = yield PerturbationBatch(rows)
-        else:
-            segment_sizes = []
-            blocks: List[BasicBlock] = []
-            for arm, count in requests:
-                perturbed = self.sampler.sample(candidates[arm], count)
-                segment_sizes.append(len(perturbed))
-                blocks.extend(perturbed)
-            if not blocks:
-                return [np.zeros(0, dtype=bool) for _ in requests]
-            predictions = yield blocks
+        # The same draws in the same request order as the sequential mode
+        # (the sampler consumes an identical random stream either way), but
+        # rows stay in deferred form; block construction happens only if the
+        # serving model lacks a row kernel.
+        segment_sizes: List[int] = []
+        rows: List[object] = []
+        for arm, count in requests:
+            batch = self.sampler.sample_encoded(candidates[arm], count)
+            segment_sizes.append(len(batch))
+            rows.extend(batch.rows)
+        if not rows:
+            return [np.zeros(0, dtype=bool) for _ in requests]
+        predictions = yield PerturbationBatch(rows)
         outcomes = (
             np.abs(np.asarray(predictions) - self.original_prediction) <= self.tolerance
         )

@@ -12,9 +12,7 @@ from repro.perturb.batch import (
     EncodedRow,
     EncodedTally,
     PerturbationBatch,
-    encoded_enabled,
     encoded_tally,
-    forced_encoded,
     thread_encoded_tally,
 )
 from repro.perturb.sampler import PerturbationSampler
@@ -33,9 +31,7 @@ __all__ = [
     "EncodedRow",
     "EncodedTally",
     "PerturbationBatch",
-    "encoded_enabled",
     "encoded_tally",
-    "forced_encoded",
     "thread_encoded_tally",
     "estimate_space_size",
     "per_instruction_choices",

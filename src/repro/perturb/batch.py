@@ -21,10 +21,6 @@ and materialises on demand only at the edges:
   ``with_instructions`` (memoised per row), so simulator models, anchors
   returned to callers and any encoding-unaware consumer see plain blocks.
 
-``REPRO_ENCODED=0`` (or :func:`forced_encoded`) disables the encoded path
-end to end — the sampler then emits materialised block lists exactly as
-before, which CI uses as the bit-for-bit oracle lane.
-
 Accounting mirrors the Γ fallback counters: per-thread and process-global
 tallies of rows that entered the pipeline encoded versus rows that were
 materialised (at emission — identity reuse excluded — or on demand), so a
@@ -35,9 +31,7 @@ silent regression to the materialise-everything path is visible in
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -48,45 +42,11 @@ __all__ = [
     "EncodedRow",
     "EncodedTally",
     "PerturbationBatch",
-    "encoded_enabled",
     "encoded_tally",
-    "forced_encoded",
     "materialize_row",
     "row_refs",
     "thread_encoded_tally",
 ]
-
-
-# ------------------------------------------------------------------ switch
-
-_FORCED_ENCODED: Optional[bool] = None
-
-
-def encoded_enabled() -> bool:
-    """Whether samplers should emit encoded batches (default: yes).
-
-    ``REPRO_ENCODED=0`` turns the encoded pipeline off process-wide — the
-    batched sampler then builds materialised block lists, byte-identical to
-    the pre-encoding behaviour.  Deliberately *not* an
-    :class:`~repro.explain.config.ExplainerConfig` field: the switch changes
-    representation only, never results, so it must not perturb config
-    fingerprints or result-cache keys.
-    """
-    if _FORCED_ENCODED is not None:
-        return _FORCED_ENCODED
-    return os.environ.get("REPRO_ENCODED", "1") != "0"
-
-
-@contextmanager
-def forced_encoded(enabled: Optional[bool]) -> Iterator[None]:
-    """Force the encoded pipeline on/off for a scope (``None`` restores env)."""
-    global _FORCED_ENCODED
-    previous = _FORCED_ENCODED
-    _FORCED_ENCODED = enabled
-    try:
-        yield
-    finally:
-        _FORCED_ENCODED = previous
 
 
 # -------------------------------------------------------------- accounting
@@ -99,7 +59,7 @@ class EncodedTally:
     ``encoded`` counts rows Γ emitted without building a block (resolved
     reference rows plus unchanged-row reuses of the original block
     instance); ``materialized`` counts block constructions — rows emitted
-    already materialised (wave retries, fallbacks, non-wave engines routed
+    already materialised (wave retries, fallbacks, reference-engine rows routed
     through :meth:`PerturbationBatch.from_blocks`) plus encoded rows later
     materialised on demand by an encoding-unaware consumer.
     """
@@ -203,7 +163,7 @@ class EncodedRow:
 
 
 #: A batch row: either a plain block (identity reuse, wave retry/fallback,
-#: non-wave engines, already-materialised) or a deferred encoded row.
+#: the reference engine, already-materialised) or a deferred encoded row.
 Row = Union[BasicBlock, EncodedRow]
 
 
@@ -243,7 +203,7 @@ class PerturbationBatch(Sequence):
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[BasicBlock]) -> "PerturbationBatch":
-        """Wrap already-materialised blocks (non-wave engines, tests)."""
+        """Wrap already-materialised blocks (the reference engine, tests)."""
         return cls(blocks)
 
     def __len__(self) -> int:

@@ -34,11 +34,11 @@ class PerturbationConfig:
     p_dependency_explicit_retain: float = 0.1
     replacement_scheme: ReplacementScheme = ReplacementScheme.OPCODE_ONLY
     max_block_attempts: int = 4
-    #: When true (the default) Γ uses the vectorized fast path: batched coin
-    #: flips, cached replacement/rename objects and targeted re-validation.
-    #: When false it runs the scalar reference implementation (the
-    #: pre-batching engine), which the query-engine benchmark uses as its
-    #: sequential baseline and the property tests use as an oracle.
+    #: When true (the default) Γ uses the struct-of-arrays wave engine:
+    #: batch-drawn coin rectangles, cached replacement/rename objects and
+    #: targeted re-validation.  When false it runs the scalar reference
+    #: implementation (the pre-batching engine), which the property tests
+    #: and the ``REPRO_PERTURB_ENGINE=reference`` CI lane use as an oracle.
     vectorized: bool = True
 
     def __post_init__(self) -> None:

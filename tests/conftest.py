@@ -40,10 +40,10 @@ def _perturb_engine_lane():
     """Pin every perturber onto one Γ engine for the whole test session.
 
     ``REPRO_PERTURB_ENGINE=reference`` runs the suites on the scalar
-    oracle (the explicit ``vectorized=False`` CI lane); ``legacy``/``soa``
-    select the vectorized engines.  Tests that pass an explicit ``engine``
-    argument (the parity suites) still exercise the engine they name —
-    the explicit argument outranks this override.
+    oracle (the explicit ``vectorized=False`` CI lane); ``soa`` selects the
+    wave engine, the default anyway.  Tests that pass an explicit
+    ``engine`` argument (the parity suites) still exercise the engine they
+    name — the explicit argument outranks this override.
     """
     engine = os.environ.get("REPRO_PERTURB_ENGINE")
     if not engine:

@@ -1,82 +1,90 @@
 """End-to-end encoded-pipeline parity: explanations never change, only cost.
 
-``REPRO_ENCODED`` (and its scoped twin :func:`forced_encoded`) switches the
-batched query path between encoded perturbation batches and materialised
-block lists.  The switch is representation-only by contract — these tests
-pin that explanations, their query counts and the KL bound values are
-bit-for-bit identical either way, and that the session-level row accounting
-actually observes the encoded traffic.
+The batched query path serves every KL-LUCB round as one encoded
+perturbation batch; the sequential path (``batch_queries=False``) draws the
+same perturbations as plain blocks and queries them one at a time.  The
+encoding is representation-only by contract — these tests pin that
+explanations, their query counts and the KL bound values are bit-for-bit
+identical either way, and that the session-level row accounting actually
+observes the encoded traffic.
 """
 
-import numpy as np
 import pytest
 
-from repro.explain.config import ExplainerConfig
 from repro.explain.explainer import CometExplainer
 from repro.explain.precision import (
+    _BOUND_MEMO,
     bernoulli_lower_bound,
     bernoulli_upper_bound,
-    bound_memo_disabled,
 )
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.perturb.algorithm import forced_engine
-from repro.perturb.batch import encoded_tally, forced_encoded
+from repro.perturb.batch import encoded_tally
 from repro.runtime.session import ExplanationSession
 
 from tests.conftest import explanation_fingerprint
 
 
-def _explain_all(blocks, config, encoded):
+def _explain_all(blocks, config):
     model = CachedCostModel(AnalyticalCostModel("hsw"))
     explainer = CometExplainer(model, config, rng=7)
-    with forced_encoded(encoded):
-        explanations = explainer.explain_many(blocks, rng=7)
+    # Unsharded, so the rows are drawn in this process and the process-wide
+    # row tally sees them on every backend lane.
+    explanations = explainer.explain_many(blocks, rng=7, shards=None)
     return explanations, model
 
 
 class TestEndToEndParity:
-    def test_encoded_and_materialized_results_are_identical(
+    def test_encoded_and_sequential_results_are_identical(
         self, tiny_blocks, fast_config
     ):
-        encoded, encoded_model = _explain_all(tiny_blocks, fast_config, True)
-        eager, eager_model = _explain_all(tiny_blocks, fast_config, False)
+        encoded, encoded_model = _explain_all(tiny_blocks, fast_config)
+        sequential, sequential_model = _explain_all(
+            tiny_blocks, fast_config.with_overrides(batch_queries=False)
+        )
         assert [explanation_fingerprint(e) for e in encoded] == [
-            explanation_fingerprint(e) for e in eager
+            explanation_fingerprint(e) for e in sequential
         ]
         # Fresh model per lane, deterministic rng: even the query accounting
         # (excluded from the fingerprint for shared-cache runs) must agree.
-        assert [e.num_queries for e in encoded] == [e.num_queries for e in eager]
-        assert encoded_model.query_count == eager_model.query_count
-        assert encoded_model.hits == eager_model.hits
-
-    def test_sequential_mode_is_unaffected(self, tiny_blocks, fast_config):
-        config = ExplainerConfig(
-            **{**fast_config.__dict__, "batch_queries": False}
-        )
-        encoded, _ = _explain_all(tiny_blocks[:1], config, True)
-        eager, _ = _explain_all(tiny_blocks[:1], config, False)
-        assert [explanation_fingerprint(e) for e in encoded] == [
-            explanation_fingerprint(e) for e in eager
+        assert [e.num_queries for e in encoded] == [
+            e.num_queries for e in sequential
         ]
+        assert encoded_model.query_count == sequential_model.query_count
+        assert encoded_model.hits == sequential_model.hits
 
     def test_encoded_lane_actually_runs_encoded(self, tiny_blocks, fast_config):
         base = encoded_tally()
         # Only the wave engine emits deferred rows — pin it so this holds
         # on the scalar-oracle CI lane too.
         with forced_engine("soa"):
-            _explain_all(tiny_blocks, fast_config, True)
+            _explain_all(tiny_blocks, fast_config)
         delta = encoded_tally().delta(base)
         assert delta.encoded > 0
         # The analytical row kernel plus content-key caching keep the whole
         # batched path block-free; nothing should need materialising.
         assert delta.materialized == 0
 
-    def test_materialized_lane_stays_dark(self, tiny_blocks, fast_config):
+    def test_sequential_lane_stays_dark(self, tiny_blocks, fast_config):
         base = encoded_tally()
-        _explain_all(tiny_blocks, fast_config, False)
+        # Even on the wave engine, sequential queries take plain blocks from
+        # ``perturb_many``: no row is deferred, so none is counted.
+        with forced_engine("soa"):
+            _explain_all(
+                tiny_blocks[:1], fast_config.with_overrides(batch_queries=False)
+            )
         delta = encoded_tally().delta(base)
         assert delta.encoded == 0
+        assert delta.materialized == 0
+
+    def test_reference_engine_stays_dark(self, tiny_blocks, fast_config):
+        base = encoded_tally()
+        with forced_engine("reference"):
+            _explain_all(tiny_blocks, fast_config)
+        delta = encoded_tally().delta(base)
+        assert delta.encoded == 0
+        assert delta.materialized > 0
 
 
 class TestBoundMemo:
@@ -87,11 +95,12 @@ class TestBoundMemo:
     @pytest.mark.parametrize("p_hat,n", GRID)
     def test_memoised_bounds_equal_fresh_bisection(self, p_hat, n):
         beta = 1.9
-        with bound_memo_disabled():
-            fresh_upper = bernoulli_upper_bound(p_hat, n, beta)
-            fresh_lower = bernoulli_lower_bound(p_hat, n, beta)
-        # First call populates the memo, second serves from it; both must
-        # equal the un-memoised bisection bit for bit.
+        _BOUND_MEMO.clear()
+        fresh_upper = bernoulli_upper_bound(p_hat, n, beta)
+        fresh_lower = bernoulli_lower_bound(p_hat, n, beta)
+        assert len(_BOUND_MEMO) == 2
+        # Every later call is served from the memo and must equal the
+        # bisection computed on the empty memo bit for bit.
         for _ in range(2):
             assert bernoulli_upper_bound(p_hat, n, beta) == fresh_upper
             assert bernoulli_lower_bound(p_hat, n, beta) == fresh_lower
@@ -104,7 +113,7 @@ class TestBoundMemo:
 class TestSessionAccounting:
     def test_session_stats_count_encoded_rows(self, fast_config, tiny_blocks):
         model = CachedCostModel(AnalyticalCostModel("hsw"))
-        with forced_encoded(True), forced_engine("soa"):
+        with forced_engine("soa"):
             with ExplanationSession(model, fast_config, rng=3) as session:
                 session.explain(tiny_blocks[0])
                 stats = session.stats()
@@ -114,7 +123,7 @@ class TestSessionAccounting:
 
     def test_describe_omits_encoded_rows_when_dark(self, fast_config, tiny_blocks):
         model = CachedCostModel(AnalyticalCostModel("hsw"))
-        with forced_encoded(False):
+        with forced_engine("reference"):
             with ExplanationSession(model, fast_config, rng=3) as session:
                 session.explain(tiny_blocks[0])
                 stats = session.stats()

@@ -67,34 +67,22 @@ class TestPredictBatchParity:
 
 
 class TestAnalyticalBatchKernels:
-    """Three-way parity of the analytical model's batch formulations.
-
-    The fused per-block loop (the default ``_predict_batch``), the numpy
-    gather/reduceat kernel kept as ``_predict_batch_reference`` (the pre-SoA
-    hot path, still the benchmark baseline lane) and the sequential
-    ``_predict`` must be bit-for-bit identical: the same table floats flow
-    through the same IEEE additions and maxima.
-    """
+    """The analytical model's fused per-block loop (the default
+    ``_predict_batch``) and the sequential ``_predict`` must be bit-for-bit
+    identical: the same table floats flow through the same IEEE additions
+    and maxima."""
 
     @pytest.mark.parametrize("uarch", ["hsw", "skl"])
-    def test_loop_reference_and_sequential_agree(self, uarch, block_fleet):
+    def test_loop_and_sequential_agree(self, uarch, block_fleet):
         model = AnalyticalCostModel(uarch)
         sequential = [model._predict(block) for block in block_fleet]
-        loop = model._predict_batch(block_fleet)
-        reference = model._predict_batch_reference(block_fleet)
-        assert loop == sequential
-        assert reference == sequential
+        assert model._predict_batch(block_fleet) == sequential
 
-    def test_reference_kernel_flag_switches_the_batch_path(self, block_fleet):
+    def test_loop_kernel_empty_batch(self):
         model = AnalyticalCostModel("hsw")
-        default = model.predict_batch(block_fleet)
-        model._use_reference_batch_kernel = True
-        flagged = model.predict_batch(block_fleet)
-        assert flagged == default
+        assert model._predict_batch([]) == []
+        assert model._rows_kernel()([]) == []
 
-    def test_reference_kernel_empty_batch(self):
-        model = AnalyticalCostModel("hsw")
-        assert model._predict_batch_reference([]) == []
 
 class TestCachedBatchPath:
     def test_batch_matches_sequential_values(self, block_fleet):

@@ -83,11 +83,9 @@ class TestKernelModels:
         # stream is identical — exact equality, not allclose.
         assert model.predict_batch(batch) == model.predict_batch(blocks)
 
-    def test_analytical_reference_kernel_materialises(self, batch, blocks):
+    def test_analytical_encoded_matches_per_block_predict(self, batch, blocks):
         model = AnalyticalCostModel("hsw")
-        model._use_reference_batch_kernel = True
-        assert model._rows_kernel() is None
-        assert model.predict_batch(batch) == model.predict_batch(blocks)
+        assert model.predict_batch(batch) == [model._predict(b) for b in blocks]
 
     @KERNEL_MODELS
     def test_kernel_models_count_one_query_per_row(self, batch, factory):

@@ -25,6 +25,7 @@ from repro.perturb.algorithm import (
     plan_cache_entries,
     thread_perturb_tally,
 )
+from repro.perturb.config import PerturbationConfig
 from repro.runtime.session import ExplanationSession
 
 from tests.conftest import FAST_CONFIG
@@ -87,6 +88,26 @@ class TestFallbacks:
         delta = perturb_tally().delta(before)
         assert delta.perturbations == 5
         assert delta.fallbacks == 5
+
+    def test_fallbacks_counted_on_the_wave_engine(self, block):
+        """Wave rows whose resolution and every reference retry fail fall back
+        too, on both the eager and the encoded entry point."""
+        # Retaining nothing flags every row, so no row skips the resolver.
+        config = PerturbationConfig(p_instruction_retain=0.0)
+        perturber = BlockPerturber(block, config, rng=0, engine="soa")
+        perturber._resolve_row = lambda *args: None
+        perturber._perturb_once = lambda plan, rng: None
+        before = perturb_tally()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = perturber.perturb_many(5)
+            batch = perturber.perturb_batch(5)
+        assert out == [block] * 5
+        assert all(row is block for row in batch.rows)
+        assert perturber.fallbacks == 10
+        delta = perturb_tally().delta(before)
+        assert delta.perturbations == 10
+        assert delta.fallbacks == 10
 
     def test_warning_fires_once_above_rate_threshold(self, block):
         perturber = self._all_attempts_fail(block)

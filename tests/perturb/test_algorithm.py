@@ -1,5 +1,8 @@
 """Tests for the perturbation algorithm Γ (Algorithm 1)."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.bb.block import BasicBlock
@@ -184,7 +187,7 @@ class TestConfigurationEffects:
 
 class TestReferenceEngine:
     """The scalar reference Γ (``vectorized=False``) must satisfy the same
-    contracts as the fast path — it is the benchmark baseline and oracle."""
+    contracts as the fast path — it is the oracle and the retry engine."""
 
     REFERENCE = PerturbationConfig(vectorized=False)
 
@@ -213,3 +216,65 @@ class TestReferenceEngine:
         fast_changed = sum(1 for p in fast if p != div_block) / len(fast)
         reference_changed = sum(1 for p in reference if p != div_block) / len(reference)
         assert abs(fast_changed - reference_changed) < 0.15
+
+
+class TestWaveRetries:
+    """Wave rows whose resolution fails retry through the reference engine.
+
+    Genuine failures (a rewritten instruction failing validation) are too
+    rare to reach on purpose, so the row resolver is forced to fail on
+    chosen rows.  It still runs first, so the random stream moves exactly as
+    it would for a genuine validation failure.  ``p_instruction_retain=0``
+    flags every row, so every row reaches the resolver and resolver call
+    ``i`` is row ``i``.
+    """
+
+    FAILING = (0, 2, 3, 7)
+    CONFIG = PerturbationConfig(p_instruction_retain=0.0)
+
+    def _perturber(self, block, seed=5):
+        perturber = BlockPerturber(block, self.CONFIG, rng=seed, engine="soa")
+        resolve = perturber._resolve_row
+        retry = perturber._perturb_once
+        calls = itertools.count()
+        perturber.retries = 0
+
+        def failing_resolve(*args):
+            resolved = resolve(*args)
+            return None if next(calls) in self.FAILING else resolved
+
+        def counted_retry(plan, rng):
+            perturber.retries += 1
+            return retry(plan, rng)
+
+        perturber._resolve_row = failing_resolve
+        perturber._perturb_once = counted_retry
+        return perturber
+
+    def test_many_and_batch_agree_through_retries(self, div_block):
+        eager = self._perturber(div_block)
+        encoded = self._perturber(div_block)
+        rng_a = np.random.default_rng(11)
+        rng_b = np.random.default_rng(11)
+        blocks = eager.perturb_many(10, rng=rng_a)
+        batch = encoded.perturb_batch(10, rng=rng_b)
+        assert eager.retries >= len(self.FAILING)
+        assert encoded.retries == eager.retries
+        assert [b.key() for b in batch] == [b.key() for b in blocks]
+        # Retried rows come back materialised, in row order.
+        for row in self.FAILING:
+            assert isinstance(batch.rows[row], BasicBlock)
+        assert (
+            rng_a.integers(0, 2**31, size=8).tolist()
+            == rng_b.integers(0, 2**31, size=8).tolist()
+        )
+
+    def test_retried_rows_are_valid_and_keep_preserved_features(self, div_block):
+        insts, deps, count = features_by_type(div_block)
+        preserved = [insts[3], deps[0], count]
+        perturber = self._perturber(div_block, seed=2)
+        out = perturber.perturb_many(12, preserved)
+        assert perturber.retries >= len(self.FAILING)
+        for row in self.FAILING:
+            validate_block_instructions(out[row].instructions)
+            assert features_present(preserved, out[row])

@@ -10,7 +10,6 @@ accounting and batch-container behaviour downstream layers rely on.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bb.block import BasicBlock
@@ -20,9 +19,7 @@ from repro.perturb.algorithm import BlockPerturber
 from repro.perturb.batch import (
     EncodedRow,
     PerturbationBatch,
-    encoded_enabled,
     encoded_tally,
-    forced_encoded,
     materialize_row,
     row_refs,
     thread_encoded_tally,
@@ -145,15 +142,14 @@ class TestRoundTripParity:
         assert batch.materialized_count == len(batch)
 
 
-class TestNonWaveEngines:
-    """The scalar oracles keep emitting blocks — wrapped, never encoded."""
+class TestReferenceEngine:
+    """The scalar oracle keeps emitting blocks — wrapped, never encoded."""
 
-    @pytest.mark.parametrize("engine", ["reference", "legacy"])
-    def test_batch_wraps_plain_blocks(self, engine):
+    def test_batch_wraps_plain_blocks(self):
         block = BasicBlock.from_text(
             "mov rax, rbx\nadd rcx, rax\nimul rdx, rcx\nsub rsi, 4"
         )
-        perturber = BlockPerturber(block, engine=engine)
+        perturber = BlockPerturber(block, engine="reference")
         base = encoded_tally()
         batch = perturber.perturb_batch(12, rng=np.random.default_rng(3))
         assert isinstance(batch, PerturbationBatch)
@@ -162,14 +158,13 @@ class TestNonWaveEngines:
         assert delta.encoded == 0
         assert delta.materialized == 12
 
-    @pytest.mark.parametrize("engine", ["reference", "legacy"])
-    def test_oracle_engines_match_wave_batch(self, engine):
+    def test_batch_matches_perturb_many(self):
         block = BasicBlock.from_text(
             "mov rax, rbx\nadd rcx, rax\nimul rdx, rcx\nsub rsi, 4"
         )
-        oracle = BlockPerturber(block, engine=engine)
+        oracle = BlockPerturber(block, engine="reference")
         oracle_blocks = oracle.perturb_many(8, rng=np.random.default_rng(9))
-        oracle_batch = BlockPerturber(block, engine=engine).perturb_batch(
+        oracle_batch = BlockPerturber(block, engine="reference").perturb_batch(
             8, rng=np.random.default_rng(9)
         )
         assert [b.key() for b in oracle_batch] == [b.key() for b in oracle_blocks]
@@ -256,21 +251,6 @@ class TestBatchContainer:
     def test_marker_attribute(self):
         assert PerturbationBatch.encoded_perturbations is True
         assert self._batch().encoded_perturbations is True
-
-
-class TestSwitch:
-    def test_forced_encoded_overrides_env(self):
-        with forced_encoded(False):
-            assert not encoded_enabled()
-            with forced_encoded(True):
-                assert encoded_enabled()
-            assert not encoded_enabled()
-
-    def test_env_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODED", "0")
-        assert not encoded_enabled()
-        monkeypatch.setenv("REPRO_ENCODED", "1")
-        assert encoded_enabled()
 
 
 class TestSamplerEncoded:

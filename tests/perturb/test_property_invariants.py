@@ -1,9 +1,8 @@
-"""Property-based invariants of the perturbation layer, across all engines.
+"""Property-based invariants of the perturbation layer, across both engines.
 
-Γ exists three times: the struct-of-arrays wave engine the explanation
-pipeline runs (``engine="soa"``), the pre-SoA per-perturbation vectorized
-engine kept as a benchmark baseline (``engine="legacy"``), and the scalar
-reference engine (``engine="reference"``, also reachable as
+Γ exists twice: the struct-of-arrays wave engine the explanation pipeline
+runs (``engine="soa"``) and the scalar reference engine
+(``engine="reference"``, also reachable as
 ``PerturbationConfig(vectorized=False)``) kept as oracle.  This suite pins
 the contract between them over *generated* blocks, feature sets and
 probability configurations:
@@ -14,8 +13,8 @@ probability configurations:
   *register* dependency must not rename a base/index register through a
   preserved memory operand (a real bug this suite's generators caught),
 * under degenerate probabilities (every coin 0 or 1, where no engine
-  consumes random state for flips — the ``_vector_flips`` contract) all
-  three engines are bit-for-bit identical, perturbation by perturbation,
+  consumes random state for flips — the ``coin``/``_flip_rows`` contract)
+  both engines are bit-for-bit identical, perturbation by perturbation,
 * the identity configuration (retain everything, attempt nothing) returns
   the original block from every engine.
 
@@ -42,8 +41,8 @@ _SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: All three Γ engines, oracle first (see module docstring).
-ENGINES = ("reference", "legacy", "soa")
+#: Both Γ engines, oracle first (see module docstring).
+ENGINES = ("reference", "soa")
 
 
 @st.composite
@@ -70,7 +69,7 @@ def probability_configs(draw):
 @st.composite
 def degenerate_configs(draw):
     """Configs whose every coin is 0 or 1 — no flip consumes random state,
-    so all three engines must walk identical rng streams."""
+    so both engines must walk identical rng streams."""
     zero_one = st.sampled_from([0.0, 1.0])
     return PerturbationConfig(
         p_instruction_retain=draw(zero_one),
@@ -139,15 +138,14 @@ def test_all_engines_preserve_requested_features(block, config, seed, data):
 def test_engines_bit_identical_under_degenerate_probabilities(
     block, config, seed, data
 ):
-    """With every coin fixed, all engines consume identical rng streams, so
-    the perturbation sequences must match key for key, three ways."""
+    """With every coin fixed, both engines consume identical rng streams, so
+    the perturbation sequences must match key for key."""
     preserved = data.draw(feature_subsets(block))
     sequences = {}
     for engine in ENGINES:
         perturber = BlockPerturber(block, config, rng=seed, engine=engine)
         sequences[engine] = [p.key() for p in perturber.perturb_many(6, preserved)]
     assert sequences["soa"] == sequences["reference"]
-    assert sequences["legacy"] == sequences["reference"]
 
 
 @given(block=synthetic_blocks(), seed=st.integers(min_value=0, max_value=1000))
