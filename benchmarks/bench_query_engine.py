@@ -36,8 +36,7 @@ from repro.data.synthesis import BlockSynthesizer
 from repro.explain.config import ExplainerConfig
 from repro.models.base import CachedCostModel
 from repro.models.registry import build_cost_model
-from repro.perturb.config import PerturbationConfig
-from repro.runtime.backend import available_backends
+from repro.runtime.backend import ThreadBackend, available_backends
 from repro.runtime.session import ExplanationSession
 
 #: Report sections, in run (and report) order, selectable with
@@ -145,9 +144,9 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def build_model(args) -> CachedCostModel:
-    model = build_cost_model(
-        args.model, args.microarch, cached=False, batch_workers=args.workers
-    )
+    model = build_cost_model(args.model, args.microarch, cached=False)
+    if args.workers > 1:
+        model.set_backend(ThreadBackend(args.workers), own=True)
     return CachedCostModel(model)
 
 
@@ -441,8 +440,6 @@ def run_continuous_batching_bench(args) -> dict:
         min_precision_samples=8,
         max_precision_samples=300,
         batch_size=4,
-        batch_queries=True,
-        perturbation=PerturbationConfig(vectorized=True),
     )
     blocks = BlockSynthesizer(rng=args.seed).generate_many(
         6, min_instructions=2, max_instructions=3, rng=args.seed + 1

@@ -17,7 +17,6 @@ from repro.models.base import (
     CostModel,
     CachedCostModel,
     QueryCounter,
-    QueryTally,
     CallableCostModel,
 )
 from repro.models.analytical import (
@@ -41,7 +40,6 @@ __all__ = [
     "CostModel",
     "CachedCostModel",
     "QueryCounter",
-    "QueryTally",
     "CallableCostModel",
     "AnalyticalCostModel",
     "ground_truth_explanations",

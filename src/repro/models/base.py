@@ -20,72 +20,15 @@ import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bb.block import BasicBlock
-from repro.runtime.backend import ExecutionBackend, ThreadBackend
+from repro.runtime.backend import ExecutionBackend
 from repro.uarch.microarch import MicroArchitecture, get_microarch
 from repro.utils.errors import ModelError
+from repro.utils.tally import Tally, thread_tally
 
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class QueryTally:
-    """A snapshot of one thread's query accounting on one model.
-
-    ``queries`` counts inner-model evaluations; ``hits``/``misses`` are the
-    cache-lookup split (always zero for uncached models).  Snapshots are
-    per-thread, so deltas taken around a piece of work measure exactly that
-    work even while other threads hammer the same shared model — which is
-    what makes per-explanation ``num_queries`` exact under block sharding.
-
-    ``perturbations``/``perturb_fallbacks`` mirror the same per-thread
-    semantics for the Γ engine: how many perturbed blocks the calling thread
-    drew, and how many of those silently fell back to the unperturbed block
-    after ``max_block_attempts`` rejected candidates (see
-    :func:`repro.perturb.algorithm.thread_perturb_tally`).
-
-    ``encoded_rows``/``materialized_rows`` track the encoded pipeline the
-    same way: rows Γ emitted without constructing a block versus block
-    constructions (rows emitted materialised plus on-demand
-    materialisations) — a healthy encoded run keeps ``materialized_rows``
-    near the Γ fallback count, so a silent regression to the
-    materialise-everything path is visible here (see
-    :func:`repro.perturb.batch.thread_encoded_tally`).
-    """
-
-    queries: int
-    hits: int = 0
-    misses: int = 0
-    perturbations: int = 0
-    perturb_fallbacks: int = 0
-    encoded_rows: int = 0
-    materialized_rows: int = 0
-
-    def delta(self, since: "QueryTally") -> "QueryTally":
-        """The accounting accrued between ``since`` and this snapshot."""
-        return QueryTally(
-            queries=self.queries - since.queries,
-            hits=self.hits - since.hits,
-            misses=self.misses - since.misses,
-            perturbations=self.perturbations - since.perturbations,
-            perturb_fallbacks=self.perturb_fallbacks - since.perturb_fallbacks,
-            encoded_rows=self.encoded_rows - since.encoded_rows,
-            materialized_rows=self.materialized_rows - since.materialized_rows,
-        )
-
-    def __add__(self, other: "QueryTally") -> "QueryTally":
-        return QueryTally(
-            queries=self.queries + other.queries,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            perturbations=self.perturbations + other.perturbations,
-            perturb_fallbacks=self.perturb_fallbacks + other.perturb_fallbacks,
-            encoded_rows=self.encoded_rows + other.encoded_rows,
-            materialized_rows=self.materialized_rows + other.materialized_rows,
-        )
 
 
 class _ThreadTallies(threading.local):
@@ -112,12 +55,6 @@ class CostModel(ABC):
         # tallies give each caller an interference-free per-request view.
         self._tally_lock = threading.Lock()
         self._thread_tallies = _ThreadTallies()
-        #: Number of workers :meth:`_fanout_predict_batch` may use when no
-        #: explicit backend is installed; ``0``/``1`` keeps batch prediction
-        #: sequential.  Simulator-style models expose this knob in their
-        #: constructors as a convenience — the model then builds (and owns)
-        #: a :class:`~repro.runtime.backend.ThreadBackend` lazily.
-        self.batch_workers = 0
         self._backend: Optional[ExecutionBackend] = None
         self._owns_backend = False
 
@@ -157,15 +94,7 @@ class CostModel(ABC):
 
     @property
     def execution_backend(self) -> Optional[ExecutionBackend]:
-        """The installed backend, materialising the ``batch_workers`` one.
-
-        Returns ``None`` when prediction is (and should stay) in-process:
-        no backend was installed and ``batch_workers`` does not ask for one.
-        """
-        if self._backend is None and self.batch_workers > 1:
-            # Legacy knob: the model owns this backend and closes it.
-            self._backend = ThreadBackend(self.batch_workers)
-            self._owns_backend = True
+        """The installed backend; ``None`` keeps prediction in-process."""
         return self._backend
 
     def set_backend(
@@ -216,8 +145,8 @@ class CostModel(ABC):
         """Evaluate ``_predict`` through the execution backend (in order).
 
         Useful for simulator-style models whose per-block work is substantial
-        and independent.  Without a multi-worker backend (and without
-        ``batch_workers``) this is a plain sequential loop.
+        and independent.  Without a multi-worker backend this is a plain
+        sequential loop.
         """
         backend = self._fanout_backend()
         if backend is None or len(blocks) <= 1:
@@ -269,26 +198,16 @@ class CostModel(ABC):
             self.query_count += count
         self._thread_tallies.queries += count
 
-    def query_tally(self) -> QueryTally:
-        """The calling thread's accounting snapshot (see :class:`QueryTally`)."""
-        # Imported lazily: repro.perturb.algorithm imports the model layer's
-        # consumers, and the Γ counters are process-global per thread (not
-        # per model), so the model interface only reads them on snapshot.
-        from repro.perturb.algorithm import thread_perturb_tally
-        from repro.perturb.batch import thread_encoded_tally
+    def query_tally(self) -> Tally:
+        """The calling thread's snapshot: this model's query counters plus
+        the thread's Γ counters from :mod:`repro.utils.tally`.
 
-        tallies = self._thread_tallies
-        perturb = thread_perturb_tally()
-        encoded = thread_encoded_tally()
-        return QueryTally(
-            queries=tallies.queries,
-            hits=tallies.hits,
-            misses=tallies.misses,
-            perturbations=perturb.perturbations,
-            perturb_fallbacks=perturb.fallbacks,
-            encoded_rows=encoded.encoded,
-            materialized_rows=encoded.materialized,
-        )
+        Per-thread, so a delta taken around a piece of work measures exactly
+        that work even while other threads share the model — which is what
+        makes per-explanation ``num_queries`` exact under block sharding.
+        """
+        mine = self._thread_tallies
+        return thread_tally(mine.queries, mine.hits, mine.misses)
 
     def predict(self, block: BasicBlock) -> float:
         """Predicted throughput of ``block`` in cycles per iteration.
@@ -368,7 +287,7 @@ class CostModel(ABC):
 
     def predict_batch_segmented(
         self, segments: Sequence[Sequence[BasicBlock]]
-    ) -> Tuple[List[List[float]], List[QueryTally], int]:
+    ) -> Tuple[List[List[float]], List[Tally], int]:
         """Predict several callers' block batches in one fused invocation.
 
         ``segments`` holds one block batch per logical caller (e.g. one per
@@ -413,7 +332,7 @@ class CostModel(ABC):
         for batch in batches:
             out.append(values[offset : offset + len(batch)])
             offset += len(batch)
-        tallies = [QueryTally(queries=len(batch)) for batch in batches]
+        tallies = [Tally(queries=len(batch)) for batch in batches]
         return out, tallies, 0
 
     def predict_many(self, blocks: Iterable[BasicBlock]) -> List[float]:
@@ -614,7 +533,7 @@ class CachedCostModel(CostModel):
 
     def predict_batch_segmented(
         self, segments: Sequence[Sequence[BasicBlock]]
-    ) -> Tuple[List[List[float]], List[QueryTally], int]:
+    ) -> Tuple[List[List[float]], List[Tally], int]:
         """Fused batch prediction with per-segment query accounting.
 
         Cache semantics match :meth:`predict_batch` on the concatenation
@@ -691,7 +610,7 @@ class CachedCostModel(CostModel):
                     for index, position in pending[key]:
                         results[index][position] = value
         segment_tallies = [
-            QueryTally(queries=q, hits=h, misses=m) for q, h, m in per_segment
+            Tally(queries=q, hits=h, misses=m) for q, h, m in per_segment
         ]
         return results, segment_tallies, shared_hits  # type: ignore[return-value]
 
@@ -715,7 +634,7 @@ class QueryCounter:
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
-        self.start = QueryTally(0)
+        self.start = Tally()
         self.queries = 0
         self.hits = 0
         self.misses = 0

@@ -31,7 +31,6 @@ class PortPressureCostModel(CostModel):
         microarch="hsw",
         *,
         dependency_weight: float = 0.5,
-        batch_workers: int = 0,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         super().__init__(microarch)
@@ -39,7 +38,6 @@ class PortPressureCostModel(CostModel):
             raise ValueError("dependency_weight must be in [0, 1]")
         self.dependency_weight = dependency_weight
         self.name = f"port-pressure-{self.microarch.short_name}"
-        self.batch_workers = batch_workers
         if backend is not None:
             self.set_backend(backend)
 

@@ -32,14 +32,12 @@ class UiCACostModel(CostModel):
         microarch="hsw",
         config: Optional[SimulationConfig] = None,
         *,
-        batch_workers: int = 0,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         super().__init__(microarch)
         self.config = config or self.DEFAULT_CONFIG
         self.simulator = PipelineSimulator(self.microarch, self.config)
         self.name = f"uica-{self.microarch.short_name}"
-        self.batch_workers = batch_workers
         if backend is not None:
             self.set_backend(backend)
 

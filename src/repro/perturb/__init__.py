@@ -8,13 +8,7 @@ from repro.perturb.replacements import (
     random_immediate,
 )
 from repro.perturb.algorithm import BlockPerturber, PreservationConstraints
-from repro.perturb.batch import (
-    EncodedRow,
-    EncodedTally,
-    PerturbationBatch,
-    encoded_tally,
-    thread_encoded_tally,
-)
+from repro.perturb.batch import EncodedRow, PerturbationBatch
 from repro.perturb.sampler import PerturbationSampler
 from repro.perturb.space import estimate_space_size, per_instruction_choices
 
@@ -29,10 +23,7 @@ __all__ = [
     "PreservationConstraints",
     "PerturbationSampler",
     "EncodedRow",
-    "EncodedTally",
     "PerturbationBatch",
-    "encoded_tally",
-    "thread_encoded_tally",
     "estimate_space_size",
     "per_instruction_choices",
 ]

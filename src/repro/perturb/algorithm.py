@@ -19,7 +19,6 @@ Section 5.2.
 
 from __future__ import annotations
 
-import threading
 import warnings
 import weakref
 from collections import OrderedDict
@@ -40,7 +39,7 @@ from repro.bb.features import (
 from repro.isa.instructions import Instruction
 from repro.isa.operands import ImmediateOperand, MemoryOperand, RegisterOperand
 from repro.isa.validation import is_valid_instruction
-from repro.perturb.batch import EncodedRow, PerturbationBatch, _count_rows
+from repro.perturb.batch import EncodedRow, PerturbationBatch
 from repro.perturb.config import PerturbationConfig, ReplacementScheme
 from repro.perturb.replacements import (
     cache_opcode_replacements,
@@ -49,6 +48,7 @@ from repro.perturb.replacements import (
     register_renaming_candidates,
     rename_register_in_instruction,
 )
+from repro.utils import tally
 from repro.utils.errors import PerturbationError
 from repro.utils.rng import RandomSource, as_rng, choice, coin
 
@@ -68,55 +68,6 @@ _ALL_ROOTS = object()
 _IDENTITY = object()
 
 
-@dataclass(frozen=True)
-class PerturbTally:
-    """Cumulative Γ accounting (process-wide), snapshot via :func:`perturb_tally`.
-
-    ``fallbacks`` counts perturbations that silently returned the original
-    block after ``max_block_attempts`` failed attempts — each one injects a
-    trivially-preserving sample into precision estimates, so runs watch the
-    rate through :class:`~repro.runtime.session.SessionStats`.
-    """
-
-    perturbations: int = 0
-    fallbacks: int = 0
-
-    def delta(self, since: "PerturbTally") -> "PerturbTally":
-        """Counters accumulated since an earlier snapshot."""
-        return PerturbTally(
-            perturbations=self.perturbations - since.perturbations,
-            fallbacks=self.fallbacks - since.fallbacks,
-        )
-
-
-_accounting_lock = threading.Lock()
-_perturbations_total = 0
-_fallbacks_total = 0
-
-
-class _ThreadPerturbTally(threading.local):
-    """Per-thread Γ accumulators (zero-initialised per thread).
-
-    Mirrors the process-wide totals at thread granularity so per-request
-    accounting (``CostModel.query_tally`` deltas around one explanation)
-    can report exactly that explanation's perturbations and fallbacks even
-    while other threads share the engine.
-    """
-
-    def __init__(self) -> None:
-        self.perturbations = 0
-        self.fallbacks = 0
-
-
-_thread_perturb_tally = _ThreadPerturbTally()
-
-
-def thread_perturb_tally() -> PerturbTally:
-    """The calling thread's Γ counters (see :func:`perturb_tally`)."""
-    tally = _thread_perturb_tally
-    return PerturbTally(
-        perturbations=tally.perturbations, fallbacks=tally.fallbacks
-    )
 #: Live perturbers, for the session-level plan-cache gauge.
 _live_perturbers: "weakref.WeakSet[BlockPerturber]" = weakref.WeakSet()
 
@@ -132,12 +83,9 @@ _FORCED_ENGINE: Optional[str] = None
 _ENGINES = ("soa", "reference")
 
 
-def perturb_tally() -> PerturbTally:
-    """Process-wide Γ counters; diff two snapshots with :meth:`PerturbTally.delta`."""
-    with _accounting_lock:
-        return PerturbTally(
-            perturbations=_perturbations_total, fallbacks=_fallbacks_total
-        )
+#: Process-wide Γ counters, as the traced benchmark reads them (the same
+#: snapshot as :func:`repro.perturb.batch.encoded_tally`).
+perturb_tally = tally.process_tally
 
 
 def plan_cache_entries() -> int:
@@ -436,7 +384,7 @@ class BlockPerturber:
         # (costs, reads/writes, validity) warm instead of rebuilding fresh
         # instructions every break.
         self._mem_variant_cache: Dict[tuple, Instruction] = {}
-        # Γ accounting (see perturb_tally / SessionStats).
+        # Per-perturber Γ counts (the run ledger is repro.utils.tally).
         self._perturbations = 0
         self._fallbacks = 0
         self._fallback_warning_emitted = False
@@ -506,17 +454,19 @@ class BlockPerturber:
         A perturbation whose every attempt fails to build a valid block falls
         back to the original block (which trivially satisfies all
         constraints); fallbacks are counted — they skew precision estimates
-        toward 1 — and surfaced through :func:`perturb_tally`,
-        :class:`~repro.runtime.session.SessionStats` and a once-per-block
-        warning when the rate crosses ``_FALLBACK_WARNING_RATE``.
+        toward 1 — in the run ledger (:mod:`repro.utils.tally`), which
+        :class:`~repro.runtime.session.SessionStats` reads, and a
+        once-per-block warning fires when the rate crosses
+        ``_FALLBACK_WARNING_RATE``.  The blocks are built here and never
+        leave Γ deferred, so they count as neither encoded nor materialised
+        rows.
         """
         generator = as_rng(rng) if rng is not None else self._rng
         plan = self._plan_for(features)
         if self._waves():
             rows, fallbacks, _ = self._perturb_wave_rows(plan, count, generator)
-            # Built directly rather than through ``EncodedRow.materialize``:
-            # these rows never leave Γ deferred, so they stay out of the
-            # encoded-row tally.
+            # Built directly rather than through ``EncodedRow.materialize``,
+            # which would count them as on-demand materialisations.
             block = self.block
             out = [
                 block.with_instructions(row.refs)
@@ -556,8 +506,7 @@ class BlockPerturber:
         else:
             rows, fallbacks = self._perturb_loop(plan, count, generator)
             encoded = 0
-        self._account(count, fallbacks)
-        _count_rows(encoded, count - encoded)
+        self._account(count, fallbacks, encoded, count - encoded)
         return PerturbationBatch(rows)
 
     # ------------------------------------------------------------ internals
@@ -593,17 +542,13 @@ class BlockPerturber:
             out.append(perturbed)
         return out, fallbacks
 
-    def _account(self, count: int, fallbacks: int) -> None:
-        global _perturbations_total, _fallbacks_total
+    def _account(
+        self, count: int, fallbacks: int, encoded: int = 0, materialized: int = 0
+    ) -> None:
         self._perturbations += count
         if fallbacks:
             self._fallbacks += fallbacks
-        thread_tally = _thread_perturb_tally
-        thread_tally.perturbations += count
-        thread_tally.fallbacks += fallbacks
-        with _accounting_lock:
-            _perturbations_total += count
-            _fallbacks_total += fallbacks
+        tally.count(count, fallbacks, encoded, materialized)
         if (
             not self._fallback_warning_emitted
             and self._perturbations >= _FALLBACK_WARNING_MIN

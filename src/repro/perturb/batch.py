@@ -21,94 +21,35 @@ and materialises on demand only at the edges:
   ``with_instructions`` (memoised per row), so simulator models, anchors
   returned to callers and any encoding-unaware consumer see plain blocks.
 
-Accounting mirrors the Γ fallback counters: per-thread and process-global
-tallies of rows that entered the pipeline encoded versus rows that were
-materialised (at emission — identity reuse excluded — or on demand), so a
-silent regression to the materialise-everything path is visible in
-:class:`~repro.models.base.QueryTally` and
+Accounting goes to the run ledger (:mod:`repro.utils.tally`): Γ counts the
+rows it emits encoded (unchanged rows reuse the original block and count
+here) and those it emits already built (wave retries, fallbacks, the
+reference engine's rows), and :meth:`EncodedRow.materialize` counts each
+on-demand construction, so a silent regression to the
+materialise-everything path shows in
 :class:`~repro.runtime.session.SessionStats`.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.bb.block import BasicBlock
 from repro.isa.instructions import Instruction
+from repro.utils import tally
 
 __all__ = [
     "EncodedRow",
-    "EncodedTally",
     "PerturbationBatch",
     "encoded_tally",
     "materialize_row",
     "row_refs",
-    "thread_encoded_tally",
 ]
 
 
-# -------------------------------------------------------------- accounting
-
-
-@dataclass(frozen=True)
-class EncodedTally:
-    """Snapshot of encoded-pipeline row accounting (see :func:`encoded_tally`).
-
-    ``encoded`` counts rows Γ emitted without building a block (resolved
-    reference rows plus unchanged-row reuses of the original block
-    instance); ``materialized`` counts block constructions — rows emitted
-    already materialised (wave retries, fallbacks, reference-engine rows routed
-    through :meth:`PerturbationBatch.from_blocks`) plus encoded rows later
-    materialised on demand by an encoding-unaware consumer.
-    """
-
-    encoded: int = 0
-    materialized: int = 0
-
-    def delta(self, since: "EncodedTally") -> "EncodedTally":
-        """The accounting accrued between ``since`` and this snapshot."""
-        return EncodedTally(
-            encoded=self.encoded - since.encoded,
-            materialized=self.materialized - since.materialized,
-        )
-
-
-class _ThreadEncodedTally(threading.local):
-    """Per-thread encoded/materialized row counters."""
-
-    def __init__(self) -> None:
-        self.encoded = 0
-        self.materialized = 0
-
-
-_thread_encoded_tally = _ThreadEncodedTally()
-_accounting_lock = threading.Lock()
-_encoded_total = 0
-_materialized_total = 0
-
-
-def thread_encoded_tally() -> EncodedTally:
-    """The calling thread's encoded-row accounting snapshot."""
-    tally = _thread_encoded_tally
-    return EncodedTally(encoded=tally.encoded, materialized=tally.materialized)
-
-
-def encoded_tally() -> EncodedTally:
-    """Process-wide encoded-row accounting snapshot (all threads)."""
-    with _accounting_lock:
-        return EncodedTally(encoded=_encoded_total, materialized=_materialized_total)
-
-
-def _count_rows(encoded: int, materialized: int) -> None:
-    global _encoded_total, _materialized_total
-    tally = _thread_encoded_tally
-    tally.encoded += encoded
-    tally.materialized += materialized
-    with _accounting_lock:
-        _encoded_total += encoded
-        _materialized_total += materialized
+#: Process-wide row counters, as the traced benchmark reads them (the same
+#: snapshot as :func:`repro.perturb.algorithm.perturb_tally`).
+encoded_tally = tally.process_tally
 
 
 # -------------------------------------------------------------------- rows
@@ -150,7 +91,7 @@ class EncodedRow:
             if self._key is not None:
                 block.__dict__["_key"] = self._key
             self._block = block
-            _count_rows(0, 1)
+            tally.count(materialized=1)
         return block
 
     @property
@@ -200,11 +141,6 @@ class PerturbationBatch(Sequence):
 
     def __init__(self, rows: Sequence[Row]) -> None:
         self.rows: List[Row] = list(rows)
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[BasicBlock]) -> "PerturbationBatch":
-        """Wrap already-materialised blocks (the reference engine, tests)."""
-        return cls(blocks)
 
     def __len__(self) -> int:
         return len(self.rows)

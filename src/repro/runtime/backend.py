@@ -229,8 +229,7 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, workers: Optional[int] = None) -> None:
         super().__init__()
-        # None means "size to the machine"; explicit 0/1 means sequential
-        # (matching the legacy batch_workers convention).
+        # None means "size to the machine"; explicit 0/1 means sequential.
         self._workers = _default_workers() if workers is None else max(int(workers), 1)
         self._pool: Optional[ThreadPoolExecutor] = None
         # Concurrent shard threads may race the lazy pool construction

@@ -27,13 +27,13 @@ for.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,14 +44,14 @@ from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import PopulationRecord
 from repro.explain.explanation import Explanation
-from repro.models.base import CachedCostModel, CostModel, QueryCounter, QueryTally
-from repro.perturb.algorithm import perturb_tally, plan_cache_entries
-from repro.perturb.batch import encoded_tally
+from repro.models.base import CachedCostModel, CostModel, QueryCounter
+from repro.perturb.algorithm import plan_cache_entries
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
 from repro.runtime.checkpoint import CheckpointJournal, run_fingerprint
 from repro.utils.cancellation import CancelToken
 from repro.utils.errors import BackendError, CheckpointError
 from repro.utils.rng import RandomSource, as_rng, spawn_rngs, spawn_seeds
+from repro.utils.tally import Tally, thread_tally
 
 #: One unit of sharded work: (position in the fleet, block, its rng stream).
 _ShardItem = Tuple[int, BasicBlock, np.random.Generator]
@@ -112,24 +112,21 @@ def _explain_shard(
     return results
 
 
-def _explain_shard_remote(
-    payload,
-) -> Tuple[List[Tuple[int, Explanation]], QueryTally, int]:
+def _explain_shard_remote(payload) -> Tuple[List[Tuple[int, Explanation]], Tally]:
     """Process-shard worker: the payload carries everything the shard needs
     (model, config, items, cache bound) because workers share no memory with
     the session.  Module-level so it pickles by reference.
 
-    Returns the shard's explanations, the shard's accounting (its query
-    cache and Γ counters live in the worker, out of the session's sight)
-    and the id of the process it ran in, so the session can tell a worker
-    run from an in-process serial fallback.
+    Returns the shard's explanations and the accounting it measured on its
+    own thread: its query cache lives in the worker, out of the session's
+    sight, and its Γ counts are the shard's alone wherever it ran.
     """
     model, config, shard, cache_entries = payload
     if not isinstance(model, CachedCostModel):
         model = CachedCostModel(model, max_entries=cache_entries)
     before = model.query_tally()
     pairs = _explain_shard(model, config, shard)
-    return pairs, model.query_tally().delta(before), os.getpid()
+    return pairs, model.query_tally().delta(before)
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,8 @@ class SessionStats:
     worker_fallbacks: int = 0
     checkpoint_skips: int = 0
     result_cache: Optional[CacheStats] = None
-    #: Γ perturbations produced during this session (process-wide counters,
-    #: diffed against the session's start snapshot).
+    #: Γ perturbations drawn by this session's own work (each driver folds
+    #: in what it measured on its own thread; other sessions never show).
     perturbations: int = 0
     #: Perturbations that silently fell back to the original block after
     #: ``max_block_attempts`` failed attempts — each injects a trivially
@@ -159,9 +156,9 @@ class SessionStats:
     #: Constraint-plan cache entries currently held by live perturbers (a
     #: gauge, not a counter — bounded per perturber by ``max_cached_plans``).
     plan_cache_entries: int = 0
-    #: Encoded-pipeline coverage during this session: rows Γ emitted without
-    #: constructing a block versus block constructions (emitted materialised
-    #: plus materialised on demand).  A healthy encoded run keeps
+    #: Encoded-pipeline coverage of this session's work: rows Γ emitted
+    #: without constructing a block versus block constructions (emitted
+    #: materialised plus materialised on demand).  A healthy encoded run keeps
     #: ``materialized_rows`` near the fallback count; ``materialized_rows``
     #: tracking ``encoded_rows`` means the fast path is being bypassed.
     encoded_rows: int = 0
@@ -269,7 +266,7 @@ class ExplanationSession:
         installed = self.model.execution_backend
         if backend is None and installed is not None:
             # No explicit request: a substrate the caller already configured
-            # on the model (backend=/batch_workers) beats the ambient
+            # on the model (backend=/set_backend) beats the ambient
             # default — borrow it and leave its ownership untouched.
             self.backend = installed
             self._owns_backend = False
@@ -298,11 +295,10 @@ class ExplanationSession:
         self._query_base = self.model.query_count
         self._hit_base = self.model.hits
         self._miss_base = self.model.misses
-        self._perturb_base = perturb_tally()
-        self._encoded_base = encoded_tally()
-        # Accounting of process shards, folded in as their results arrive.
-        self._shard_tally = QueryTally(queries=0)
-        self._shard_tally_lock = threading.Lock()
+        # The session's own work: every driver's Γ counts, plus the query
+        # accounting of process shards (their caches live in the workers).
+        self._tally = Tally()
+        self._tally_lock = threading.Lock()
         self._closed = False
 
     # -------------------------------------------------------------- explain
@@ -405,21 +401,23 @@ class ExplanationSession:
                 self.explanations_produced += 1
                 return cached
             record = PopulationRecord() if self.config.shared_background else None
-            explanation = _search_block(
-                self.model, block, self.config, as_rng(seed), record, cancel
-            )
+            with self.accounting():
+                explanation = _search_block(
+                    self.model, block, self.config, as_rng(seed), record, cancel
+                )
             self.result_cache.put(fingerprint, explanation)
             self.explanations_produced += 1
             return explanation
         generator = as_rng(rng) if rng is not None else self._rng
-        explanation = _search_block(
-            self.model,
-            block,
-            self.config,
-            generator,
-            self.coverage_record(block),
-            cancel,
-        )
+        with self.accounting():
+            explanation = _search_block(
+                self.model,
+                block,
+                self.config,
+                generator,
+                self.coverage_record(block),
+                cancel,
+            )
         self.explanations_produced += 1
         return explanation
 
@@ -532,7 +530,8 @@ class ExplanationSession:
                 # ``result_cache`` in the class docstring) — the exact loop
                 # every shard runs, so cache on/off changes nothing for a
                 # fresh session and the computed results are safe to store.
-                pairs = _explain_shard(self.model, self.config, items, cancel)
+                with self.accounting():
+                    pairs = _explain_shard(self.model, self.config, items, cancel)
             else:
                 return [
                     self.explain(block, rng=stream, cancel=cancel)
@@ -550,11 +549,11 @@ class ExplanationSession:
                     for shard in shard_lists
                 ]
                 pairs = []
-                for shard_pairs, tally, pid in self.backend.map_batch(
+                for shard_pairs, tally in self.backend.map_batch(
                     _explain_shard_remote, payloads
                 ):
                     pairs.extend(shard_pairs)
-                    self._fold_shard_tally(tally, pid)
+                    self._fold(tally)
         self.explanations_produced += len(blocks)
         for position, explanation in pairs:
             results[position] = explanation
@@ -611,9 +610,10 @@ class ExplanationSession:
                     continue
                 if cancel is not None:
                     cancel.check()
-                explanation = _search_block(
-                    self.model, block, self.config, stream, None, cancel
-                )
+                with self.accounting():
+                    explanation = _search_block(
+                        self.model, block, self.config, stream, None, cancel
+                    )
                 journal.record(position, block, explanation)
                 results[position] = explanation
                 self.explanations_produced += 1
@@ -658,25 +658,6 @@ class ExplanationSession:
             shard.sort()
         return plan
 
-    def _fold_shard_tally(self, tally: QueryTally, pid: int) -> None:
-        """Add one process shard's accounting to the session's.
-
-        A shard always counts its queries against its own cache wrapper,
-        which the session cannot see.  Its Γ counters are process-wide, so a
-        shard that ran in *this* process (the backend's serial fallback) is
-        already in them and only its query counts are added.
-        """
-        if pid == os.getpid():
-            tally = replace(
-                tally,
-                perturbations=0,
-                perturb_fallbacks=0,
-                encoded_rows=0,
-                materialized_rows=0,
-            )
-        with self._shard_tally_lock:
-            self._shard_tally = self._shard_tally + tally
-
     def _run_shards_inprocess(
         self,
         shard_lists: List[List[_ShardItem]],
@@ -695,7 +676,8 @@ class ExplanationSession:
         """
 
         def run(shard: List[_ShardItem]) -> List[Tuple[int, Explanation]]:
-            return _explain_shard(self.model, self.config, shard, cancel)
+            with self.accounting():
+                return _explain_shard(self.model, self.config, shard, cancel)
 
         with ThreadPoolExecutor(max_workers=len(shard_lists)) as executor:
             shard_results = list(executor.map(run, shard_lists))
@@ -712,22 +694,48 @@ class ExplanationSession:
 
     # ----------------------------------------------------------------- stats
 
+    def _fold(self, tally: Tally) -> None:
+        with self._tally_lock:
+            self._tally = self._tally + tally
+
+    @contextmanager
+    def accounting(self) -> Iterator[Callable[[], None]]:
+        """Charge the Γ work the calling thread does inside the block to
+        this session's stats.
+
+        Every driver of session work wraps what it runs on its own thread
+        (explanations, shard loops, fused tick groups), so the counts are
+        this session's alone even when other sessions share the process.
+        The work is charged on exit, or earlier by calling the yielded
+        ``flush`` (a fused group flushes before it answers a request).
+        """
+        mark = thread_tally()
+
+        def flush() -> None:
+            nonlocal mark
+            now = thread_tally()
+            self._fold(now.delta(mark))
+            mark = now
+
+        try:
+            yield flush
+        finally:
+            flush()
+
     def stats(self) -> SessionStats:
         """Accounting since the session started (inner-model work only).
 
         Process-sharded runs count their workers' queries, cache lookups
         and Γ rows too, so the totals do not depend on the backend.
         """
-        shards = self._shard_tally
-        hits = self.model.hits - self._hit_base + shards.hits
-        misses = self.model.misses - self._miss_base + shards.misses
+        work = self._tally
+        hits = self.model.hits - self._hit_base + work.hits
+        misses = self.model.misses - self._miss_base + work.misses
         lookups = hits + misses
         worker = self.backend.worker_stats()
-        perturb = perturb_tally().delta(self._perturb_base)
-        encoded = encoded_tally().delta(self._encoded_base)
         return SessionStats(
             explanations=self.explanations_produced,
-            model_queries=self.model.query_count - self._query_base + shards.queries,
+            model_queries=self.model.query_count - self._query_base + work.queries,
             cache_hits=hits,
             cache_misses=misses,
             cache_hit_rate=hits / lookups if lookups else 0.0,
@@ -740,11 +748,11 @@ class ExplanationSession:
             result_cache=(
                 self.result_cache.stats() if self.result_cache is not None else None
             ),
-            perturbations=perturb.perturbations + shards.perturbations,
-            perturb_fallbacks=perturb.fallbacks + shards.perturb_fallbacks,
+            perturbations=work.perturbations,
+            perturb_fallbacks=work.fallbacks,
             plan_cache_entries=plan_cache_entries(),
-            encoded_rows=encoded.encoded + shards.encoded_rows,
-            materialized_rows=encoded.materialized + shards.materialized_rows,
+            encoded_rows=work.encoded,
+            materialized_rows=work.materialized,
         )
 
     # ------------------------------------------------------------- lifecycle

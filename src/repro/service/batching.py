@@ -46,7 +46,7 @@ from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import PopulationRecord
 from repro.explain.explanation import Explanation
-from repro.models.base import CostModel, QueryCounter, QueryTally
+from repro.models.base import CostModel, QueryCounter
 from repro.runtime.session import ExplanationSession
 from repro.utils.cancellation import CancelToken
 from repro.utils.rng import as_rng, spawn_rngs, spawn_seeds
@@ -231,10 +231,6 @@ class _RequestRun:
             record = self.records[key] = PopulationRecord()
         return record
 
-    def charge(self, tally: QueryTally) -> None:
-        """Attribute one fused segment's query accounting to this request."""
-        self.queries += tally.queries
-
     def advance(self, predictions: Optional[np.ndarray]) -> bool:
         """Advance until the next fused tick is needed, or the request is done.
 
@@ -332,58 +328,66 @@ def run_fused_group(
     request that raises — cancellation, deadline expiry, a model error —
     leaves the remaining members of the group untouched.
     """
-    model = session.model
-    config = session.config
-    pending_runs: List[_RequestRun] = []
+    # The dispatcher thread runs every member's searches and every fused
+    # tick (where models without a row kernel materialise encoded rows),
+    # so its delta is the whole group's Γ work; it is charged before each
+    # request is answered, so a caller's next stats read includes it.
+    with session.accounting() as flush:
+        model = session.model
+        config = session.config
+        pending_runs: List[_RequestRun] = []
 
-    def step(run: _RequestRun, predictions: Optional[np.ndarray]) -> None:
-        """Advance one request; park it for the next tick or retire it."""
-        try:
-            if run.advance(predictions):
-                pending_runs.append(run)
-            else:
-                session.explanations_produced += len(run.explanations)
-                run.entry.finish(run.explanations)
-        except Exception as error:  # noqa: BLE001 - reported per request
-            run.close()
-            run.entry.fail(error)
+        def step(run: _RequestRun, predictions: Optional[np.ndarray]) -> None:
+            """Advance one request; park it for the next tick or retire it."""
+            try:
+                if run.advance(predictions):
+                    pending_runs.append(run)
+                else:
+                    session.explanations_produced += len(run.explanations)
+                    flush()
+                    run.entry.finish(run.explanations)
+            except Exception as error:  # noqa: BLE001 - reported per request
+                run.close()
+                flush()
+                run.entry.fail(error)
 
-    def admit(entry: FusedEntry) -> None:
-        if counters is not None:
-            counters.record_request()
-        step(_RequestRun(entry, model, config, session=session), None)
+        def admit(entry: FusedEntry) -> None:
+            if counters is not None:
+                counters.record_request()
+            step(_RequestRun(entry, model, config, session=session), None)
 
-    for entry in entries:
-        admit(entry)
-    while True:
-        if absorb is not None and len(pending_runs) < max_fused_requests:
-            for entry in absorb(max_fused_requests - len(pending_runs)):
-                admit(entry)
-        if not pending_runs:
-            break
-        batch, pending_runs = list(pending_runs), []
-        segments = [run.pending for run in batch]
-        try:
-            values, tallies, shared_hits = model.predict_batch_segmented(segments)
-        except Exception:  # noqa: BLE001 - isolate the poisoned segment
-            # One request's blocks made the fused call fail; re-serve each
-            # segment on its own so only the failing request retires with
-            # the error.
-            for run in batch:
-                try:
-                    with QueryCounter(model) as counter:
-                        answers = model.predict_batch(run.pending)
-                except Exception as error:  # noqa: BLE001
-                    run.close()
-                    run.entry.fail(error)
-                    continue
-                run.queries += counter.queries
+        for entry in entries:
+            admit(entry)
+        while True:
+            if absorb is not None and len(pending_runs) < max_fused_requests:
+                for entry in absorb(max_fused_requests - len(pending_runs)):
+                    admit(entry)
+            if not pending_runs:
+                break
+            batch, pending_runs = list(pending_runs), []
+            segments = [run.pending for run in batch]
+            try:
+                values, tallies, shared_hits = model.predict_batch_segmented(segments)
+            except Exception:  # noqa: BLE001 - isolate the poisoned segment
+                # One request's blocks made the fused call fail; re-serve each
+                # segment on its own so only the failing request retires with
+                # the error.
+                for run in batch:
+                    try:
+                        with QueryCounter(model) as counter:
+                            answers = model.predict_batch(run.pending)
+                    except Exception as error:  # noqa: BLE001
+                        run.close()
+                        flush()
+                        run.entry.fail(error)
+                        continue
+                    run.queries += counter.queries
+                    run.pending = None
+                    step(run, np.asarray(answers))
+                continue
+            if counters is not None:
+                counters.record_tick(len(batch), shared_hits)
+            for run, answers, tally in zip(batch, values, tallies):
+                run.queries += tally.queries
                 run.pending = None
                 step(run, np.asarray(answers))
-            continue
-        if counters is not None:
-            counters.record_tick(len(batch), shared_hits)
-        for run, answers, tally in zip(batch, values, tallies):
-            run.charge(tally)
-            run.pending = None
-            step(run, np.asarray(answers))

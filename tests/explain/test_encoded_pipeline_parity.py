@@ -20,8 +20,8 @@ from repro.explain.precision import (
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.perturb.algorithm import forced_engine
-from repro.perturb.batch import encoded_tally
 from repro.runtime.session import ExplanationSession
+from repro.utils.tally import process_tally
 
 from tests.conftest import explanation_fingerprint
 
@@ -29,8 +29,8 @@ from tests.conftest import explanation_fingerprint
 def _explain_all(blocks, config):
     model = CachedCostModel(AnalyticalCostModel("hsw"))
     explainer = CometExplainer(model, config, rng=7)
-    # Unsharded, so the rows are drawn in this process and the process-wide
-    # row tally sees them on every backend lane.
+    # Unsharded, so the rows are drawn in this process and the process
+    # snapshot sees them on every backend lane.
     explanations = explainer.explain_many(blocks, rng=7, shards=None)
     return explanations, model
 
@@ -55,34 +55,34 @@ class TestEndToEndParity:
         assert encoded_model.hits == sequential_model.hits
 
     def test_encoded_lane_actually_runs_encoded(self, tiny_blocks, fast_config):
-        base = encoded_tally()
+        base = process_tally()
         # Only the wave engine emits deferred rows — pin it so this holds
         # on the scalar-oracle CI lane too.
         with forced_engine("soa"):
             _explain_all(tiny_blocks, fast_config)
-        delta = encoded_tally().delta(base)
+        delta = process_tally().delta(base)
         assert delta.encoded > 0
         # The analytical row kernel plus content-key caching keep the whole
         # batched path block-free; nothing should need materialising.
         assert delta.materialized == 0
 
     def test_sequential_lane_stays_dark(self, tiny_blocks, fast_config):
-        base = encoded_tally()
+        base = process_tally()
         # Even on the wave engine, sequential queries take plain blocks from
         # ``perturb_many``: no row is deferred, so none is counted.
         with forced_engine("soa"):
             _explain_all(
                 tiny_blocks[:1], fast_config.with_overrides(batch_queries=False)
             )
-        delta = encoded_tally().delta(base)
+        delta = process_tally().delta(base)
         assert delta.encoded == 0
         assert delta.materialized == 0
 
     def test_reference_engine_stays_dark(self, tiny_blocks, fast_config):
-        base = encoded_tally()
+        base = process_tally()
         with forced_engine("reference"):
             _explain_all(tiny_blocks, fast_config)
-        delta = encoded_tally().delta(base)
+        delta = process_tally().delta(base)
         assert delta.encoded == 0
         assert delta.materialized > 0
 

@@ -15,6 +15,7 @@ from repro.models.base import CachedCostModel, CallableCostModel
 from repro.models.ithemal import IthemalConfig, IthemalCostModel
 from repro.models.mca import PortPressureCostModel
 from repro.models.uica import UiCACostModel
+from repro.runtime.backend import ThreadBackend
 from repro.utils.errors import ModelError
 
 
@@ -23,9 +24,9 @@ def _exact_models():
         AnalyticalCostModel("hsw"),
         AnalyticalCostModel("skl"),
         UiCACostModel("hsw"),
-        UiCACostModel("hsw", batch_workers=4),
+        UiCACostModel("hsw").set_backend(ThreadBackend(4), own=True),
         PortPressureCostModel("hsw"),
-        PortPressureCostModel("hsw", batch_workers=4),
+        PortPressureCostModel("hsw").set_backend(ThreadBackend(4), own=True),
         CallableCostModel(lambda b: float(b.num_instructions), name="count"),
     ]
 

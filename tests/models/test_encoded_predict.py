@@ -6,8 +6,8 @@ straight from instruction references (analytical, Ithemal, the uiCA
 simulator when it runs in-process), dedupes through content keys (the cache
 wrapper), or silently materialises because it has no row kernel (callable
 models, and uiCA while it fans batches out to backend workers).  The
-accounting satellite rides along: :class:`QueryTally` exposes how many rows
-stayed encoded.
+accounting satellite rides along: :meth:`CostModel.query_tally` exposes how
+many rows stayed encoded.
 """
 
 import numpy as np
@@ -101,8 +101,8 @@ class TestKernelModels:
         )
         model.predict_batch(fresh)
         delta = model.query_tally().delta(base)
-        assert delta.encoded_rows + delta.materialized_rows >= 30
-        assert delta.encoded_rows > 0
+        assert delta.encoded + delta.materialized >= 30
+        assert delta.encoded > 0
         # A row kernel never builds blocks for rows that arrived deferred.
         assert all(
             not isinstance(row, EncodedRow) or not row.materialized
@@ -146,7 +146,7 @@ class TestKernellessModels:
         assert model.predict_batch(fresh) == expected
         delta = model.query_tally().delta(base)
         # Every deferred row had to be built for the block-wise fallback.
-        assert delta.materialized_rows >= sum(
+        assert delta.materialized >= sum(
             1 for row in fresh.rows if isinstance(row, EncodedRow)
         )
 

@@ -5,7 +5,8 @@ falling back to the original block used to be silent (each fallback
 injects a trivially-preserving sample into precision estimates), and the
 per-perturber constraint-plan cache used to grow without limit in warm
 sessions.  This suite pins the accounting at every level it surfaces —
-per perturber, process-wide, per thread (``QueryTally``), per session
+per perturber, in the run ledger's process and thread snapshots (the
+latter also through ``CostModel.query_tally``), per session
 (``SessionStats``) — plus the once-per-block warning and the LRU bound.
 """
 
@@ -21,12 +22,11 @@ from repro.models.analytical import AnalyticalCostModel
 from repro.perturb.algorithm import (
     _FALLBACK_WARNING_MIN,
     BlockPerturber,
-    perturb_tally,
     plan_cache_entries,
-    thread_perturb_tally,
 )
 from repro.perturb.config import PerturbationConfig
 from repro.runtime.session import ExplanationSession
+from repro.utils.tally import process_tally, thread_tally
 
 from tests.conftest import FAST_CONFIG
 
@@ -38,18 +38,18 @@ def block():
 
 class TestCounters:
     def test_perturb_many_counts_at_every_level(self, block):
-        process_before = perturb_tally()
-        thread_before = thread_perturb_tally()
+        process_before = process_tally()
+        thread_before = thread_tally()
         perturber = BlockPerturber(block, rng=0)
 
         perturber.perturb_many(25)
 
         assert perturber.perturbations == 25
-        assert perturb_tally().delta(process_before).perturbations == 25
-        assert thread_perturb_tally().delta(thread_before).perturbations == 25
+        assert process_tally().delta(process_before).perturbations == 25
+        assert thread_tally().delta(thread_before).perturbations == 25
 
     def test_thread_tally_is_isolated_per_thread(self, block):
-        before = thread_perturb_tally()
+        before = thread_tally()
 
         def work():
             BlockPerturber(block, rng=1).perturb_many(10)
@@ -59,7 +59,7 @@ class TestCounters:
         worker.join()
 
         # The worker's perturbations land in the process total, not ours.
-        assert thread_perturb_tally().delta(before).perturbations == 0
+        assert thread_tally().delta(before).perturbations == 0
 
     def test_query_tally_carries_perturb_counters(self, block):
         model = AnalyticalCostModel("hsw")
@@ -67,7 +67,7 @@ class TestCounters:
         BlockPerturber(block, rng=2).perturb_many(7)
         delta = model.query_tally().delta(before)
         assert delta.perturbations == 7
-        assert delta.perturb_fallbacks == 0
+        assert delta.fallbacks == 0
 
 
 class TestFallbacks:
@@ -78,14 +78,14 @@ class TestFallbacks:
         return perturber
 
     def test_fallbacks_counted(self, block):
-        before = perturb_tally()
+        before = process_tally()
         perturber = self._all_attempts_fail(block)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = perturber.perturb_many(5)
         assert out == [block] * 5
         assert perturber.fallbacks == 5
-        delta = perturb_tally().delta(before)
+        delta = process_tally().delta(before)
         assert delta.perturbations == 5
         assert delta.fallbacks == 5
 
@@ -97,7 +97,7 @@ class TestFallbacks:
         perturber = BlockPerturber(block, config, rng=0, engine="soa")
         perturber._resolve_row = lambda *args: None
         perturber._perturb_once = lambda plan, rng: None
-        before = perturb_tally()
+        before = process_tally()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = perturber.perturb_many(5)
@@ -105,7 +105,7 @@ class TestFallbacks:
         assert out == [block] * 5
         assert all(row is block for row in batch.rows)
         assert perturber.fallbacks == 10
-        delta = perturb_tally().delta(before)
+        delta = process_tally().delta(before)
         assert delta.perturbations == 10
         assert delta.fallbacks == 10
 

@@ -16,16 +16,10 @@ from repro.bb.block import BasicBlock
 from repro.bb.features import extract_features
 from repro.data.synthesis import BlockSynthesizer
 from repro.perturb.algorithm import BlockPerturber
-from repro.perturb.batch import (
-    EncodedRow,
-    PerturbationBatch,
-    encoded_tally,
-    materialize_row,
-    row_refs,
-    thread_encoded_tally,
-)
+from repro.perturb.batch import EncodedRow, PerturbationBatch, materialize_row, row_refs
 from repro.perturb.config import PerturbationConfig
 from repro.perturb.sampler import PerturbationSampler
+from repro.utils.tally import process_tally, thread_tally
 
 _SETTINGS = dict(
     max_examples=25,
@@ -150,11 +144,11 @@ class TestReferenceEngine:
             "mov rax, rbx\nadd rcx, rax\nimul rdx, rcx\nsub rsi, 4"
         )
         perturber = BlockPerturber(block, engine="reference")
-        base = encoded_tally()
+        base = process_tally()
         batch = perturber.perturb_batch(12, rng=np.random.default_rng(3))
         assert isinstance(batch, PerturbationBatch)
         assert all(isinstance(row, BasicBlock) for row in batch.rows)
-        delta = encoded_tally().delta(base)
+        delta = process_tally().delta(base)
         assert delta.encoded == 0
         assert delta.materialized == 12
 
@@ -175,13 +169,13 @@ class TestAccounting:
         block = BasicBlock.from_text(
             "mov rax, rbx\nadd rcx, rax\nimul rdx, rcx\nsub rsi, 4"
         )
-        base = encoded_tally()
-        thread_base = thread_encoded_tally()
+        base = process_tally()
+        thread_base = thread_tally()
         batch = BlockPerturber(block, engine="soa").perturb_batch(
             50, rng=np.random.default_rng(1)
         )
-        delta = encoded_tally().delta(base)
-        thread_delta = thread_encoded_tally().delta(thread_base)
+        delta = process_tally().delta(base)
+        thread_delta = thread_tally().delta(thread_base)
         assert delta.encoded + delta.materialized == 50
         assert delta.encoded == batch.encoded_count + sum(
             1 for row in batch.rows if isinstance(row, BasicBlock) and row is block
@@ -199,11 +193,11 @@ class TestAccounting:
         encoded_rows = [r for r in batch.rows if isinstance(r, EncodedRow)]
         assert encoded_rows, "workload produced no deferred rows"
         row = encoded_rows[0]
-        base = encoded_tally()
+        base = process_tally()
         first = row.materialize()
         second = row.materialize()
         assert first is second
-        assert encoded_tally().delta(base).materialized == 1
+        assert process_tally().delta(base).materialized == 1
         assert row.materialized
 
     def test_key_memo_seeds_materialised_block(self):

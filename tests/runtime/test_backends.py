@@ -98,8 +98,7 @@ class TestIntrospection:
         assert ProcessBackend(2).workers == 2
 
     def test_zero_workers_means_sequential(self):
-        # Matches the legacy batch_workers=0 convention: an explicit 0 asks
-        # for no parallelism, not for the machine default.
+        # An explicit 0 asks for no parallelism, not for the machine default.
         assert ThreadBackend(0).workers == 1
         assert ProcessBackend(0).workers == 1
 
@@ -168,10 +167,10 @@ class TestProcessBackendModelValidation:
 
 
 class TestModelBackendIntegration:
-    def test_batch_workers_materialises_owned_thread_backend(self):
-        model = PortPressureCostModel("hsw", batch_workers=2)
-        backend = model.execution_backend
-        assert isinstance(backend, ThreadBackend)
+    def test_owned_backend_closes_with_model(self):
+        backend = ThreadBackend(2)
+        model = PortPressureCostModel("hsw").set_backend(backend, own=True)
+        assert model.execution_backend is backend
         model.close()
         assert backend.closed
 
